@@ -19,9 +19,13 @@ namespace {
 using bench_util::Catalog;
 using bench_util::Workload;
 
+/// Args: items n, storage budget B (transfer budget 10), and how many of
+/// the items have positive benefit (spread evenly; the rest are negated
+/// and can never be packed).
 void BM_KnapsackDp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int64_t storage = state.range(1);
+  const int positive = static_cast<int>(state.range(2));
   Rng rng(42);
   std::vector<tuner::MKnapsackItem> items;
   for (int k = 0; k < n; ++k) {
@@ -30,20 +34,27 @@ void BM_KnapsackDp(benchmark::State& state) {
     item.storage_units = rng.Uniform(0, 16);
     item.transfer_units = rng.Uniform(0, 10);
     item.benefit = rng.UniformReal(0, 1000);
+    if (k * positive % n >= positive) item.benefit = -item.benefit;
     items.push_back(item);
   }
   for (auto _ : state) {
     auto solution = tuner::SolveMKnapsack(items, storage, 10);
     benchmark::DoNotOptimize(solution);
   }
-  state.SetLabel(std::to_string(n) + " items, B=" +
-                 std::to_string(storage));
+  state.SetLabel(std::to_string(n) + " items (" + std::to_string(positive) +
+                 " positive), B=" + std::to_string(storage));
 }
 BENCHMARK(BM_KnapsackDp)
-    ->Args({16, 400})
-    ->Args({64, 400})
-    ->Args({64, 4096})
-    ->Args({256, 4096});
+    ->Args({16, 400, 16})
+    ->Args({64, 400, 64})
+    ->Args({64, 4096, 64})
+    ->Args({256, 4096, 256})
+    // The tuner's shape: a DW phase sends ~300 items, ~14 of them
+    // positive, against Bd = 400.
+    ->Args({300, 400, 14})
+    // Known worst case for the frontier: every item positive and both
+    // budgets tight, so the frontier grows toward the full grid.
+    ->Args({288, 400, 288});
 
 /// Shared fixture state: views harvested from the first eight workload
 /// queries plus the optimizer stack.

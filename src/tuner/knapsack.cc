@@ -25,7 +25,7 @@ Status ValidateInstance(const std::vector<MKnapsackItem>& items,
 /// Builds the solution from the chosen item indices (ascending). The
 /// total is the left-fold sum of the chosen benefits in item order —
 /// exactly the floating-point expression the dense DP accumulates along
-/// its take-chain, so dense and sparse report bit-identical totals.
+/// its take-chain, so both report bit-identical totals.
 MKnapsackSolution MakeSolution(const std::vector<MKnapsackItem>& items,
                                const std::vector<int>& chosen_ascending) {
   MKnapsackSolution solution;
@@ -39,7 +39,12 @@ MKnapsackSolution MakeSolution(const std::vector<MKnapsackItem>& items,
   return solution;
 }
 
-// ---- Sparse frontier DP (DESIGN.md §15) ---------------------------------
+// ---- Sparse frontier DP (DESIGN.md §15.2) -------------------------------
+//
+// "The dense DP" below is the §4.4.1 recurrence swept over the whole
+// (B+1) x (T+1) plane, one rolling row per item. It survives only as the
+// tests' reference oracle (tests/tuner/knapsack_dense_oracle.cc), and
+// each equivalence claimed below is what the oracle tests pin.
 
 /// One reachable state: the canonical value of some feasible subset of an
 /// item prefix at its (possibly slack-clamped, see below) budget use.
@@ -131,71 +136,7 @@ int64_t ToBudgetUnits(int64_t size_bytes, int64_t unit_bytes) {
   return (size_bytes + unit_bytes - 1) / unit_bytes;
 }
 
-Result<MKnapsackSolution> SolveMKnapsackDense(
-    const std::vector<MKnapsackItem>& items, int64_t storage_budget_units,
-    int64_t transfer_budget_units) {
-  MISO_RETURN_IF_ERROR(ValidateInstance(items, storage_budget_units,
-                                        transfer_budget_units));
-
-  const int n = static_cast<int>(items.size());
-  const int64_t kB = storage_budget_units;
-  const int64_t kT = transfer_budget_units;
-  const size_t plane =
-      static_cast<size_t>(kB + 1) * static_cast<size_t>(kT + 1);
-
-  // value[b * (T+1) + t]: best benefit using items[0..k) with b storage and
-  // t transfer remaining capacity consumed at most. Rolling layers with a
-  // per-(item, cell) take/skip bit for reconstruction.
-  std::vector<double> value(plane, 0.0);
-  std::vector<double> next(plane, 0.0);
-  // take[k][cell]: whether item k is taken at that capacity.
-  std::vector<std::vector<bool>> take(static_cast<size_t>(n));
-
-  auto idx = [kT](int64_t b, int64_t t) {
-    return static_cast<size_t>(b) * static_cast<size_t>(kT + 1) +
-           static_cast<size_t>(t);
-  };
-
-  for (int k = 0; k < n; ++k) {
-    const MKnapsackItem& item = items[static_cast<size_t>(k)];
-    take[static_cast<size_t>(k)].assign(plane, false);
-    for (int64_t b = 0; b <= kB; ++b) {
-      for (int64_t t = 0; t <= kT; ++t) {
-        const size_t cell = idx(b, t);
-        double best = value[cell];  // skip item k
-        const bool fits = item.storage_units <= b &&
-                          item.transfer_units <= t;
-        if (fits && item.benefit > 0) {
-          const double with =
-              value[idx(b - item.storage_units, t - item.transfer_units)] +
-              item.benefit;
-          if (with > best) {
-            best = with;
-            take[static_cast<size_t>(k)][cell] = true;
-          }
-        }
-        next[cell] = best;
-      }
-    }
-    std::swap(value, next);
-  }
-
-  // Reconstruct choices from the last item backwards.
-  std::vector<int> chosen;
-  int64_t b = kB;
-  int64_t t = kT;
-  for (int k = n - 1; k >= 0; --k) {
-    if (take[static_cast<size_t>(k)][idx(b, t)]) {
-      chosen.push_back(k);
-      b -= items[static_cast<size_t>(k)].storage_units;
-      t -= items[static_cast<size_t>(k)].transfer_units;
-    }
-  }
-  std::reverse(chosen.begin(), chosen.end());
-  return MakeSolution(items, chosen);
-}
-
-Result<MKnapsackSolution> SolveMKnapsackSparse(
+Result<MKnapsackSolution> SolveMKnapsack(
     const std::vector<MKnapsackItem>& items, int64_t storage_budget_units,
     int64_t transfer_budget_units) {
   MISO_RETURN_IF_ERROR(ValidateInstance(items, storage_budget_units,
@@ -292,22 +233,6 @@ Result<MKnapsackSolution> SolveMKnapsackSparse(
   }
   std::reverse(chosen.begin(), chosen.end());
   return MakeSolution(items, chosen);
-}
-
-Result<MKnapsackSolution> SolveMKnapsack(
-    const std::vector<MKnapsackItem>& items, int64_t storage_budget_units,
-    int64_t transfer_budget_units) {
-  // Dense when the whole (B+1) x (T+1) plane is small (the product cannot
-  // overflow: both factors are bounded by the limit first); sparse
-  // otherwise — including budgets so large the dense plane could never
-  // be allocated. Both solvers return bit-identical solutions.
-  const int64_t kB = storage_budget_units;
-  const int64_t kT = transfer_budget_units;
-  const bool dense = kB >= 0 && kT >= 0 && kB < kDenseKnapsackPlaneLimit &&
-                     kT < kDenseKnapsackPlaneLimit &&
-                     (kB + 1) * (kT + 1) <= kDenseKnapsackPlaneLimit;
-  return dense ? SolveMKnapsackDense(items, kB, kT)
-               : SolveMKnapsackSparse(items, kB, kT);
 }
 
 }  // namespace miso::tuner

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "knapsack_dense_oracle.h"
 
 namespace miso::tuner {
 namespace {
@@ -102,14 +103,14 @@ TEST(KnapsackTest, ZeroSizeItemsAlwaysFit) {
 
 // ---- Sparse/dense equivalence: same set, bit-identical total. -----------
 
-/// Both solvers must agree exactly — same chosen ids, total equal with
-/// EXPECT_EQ (no tolerance): the sparse frontier DP is specified as a
-/// drop-in for the dense grid, so `SolveMKnapsack`'s plane-size dispatch
-/// can never change a tuning decision.
+/// The solver must agree exactly with the dense oracle — same chosen ids,
+/// total equal with EXPECT_EQ (no tolerance): the sparse frontier DP is
+/// specified as a drop-in for the §4.4.1 grid recurrence, so it can never
+/// change a tuning decision.
 void ExpectSolversIdentical(const std::vector<MKnapsackItem>& items,
                             int64_t b, int64_t t) {
   auto dense = SolveMKnapsackDense(items, b, t);
-  auto sparse = SolveMKnapsackSparse(items, b, t);
+  auto sparse = SolveMKnapsack(items, b, t);
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(sparse.ok());
   EXPECT_EQ(sparse->chosen_ids, dense->chosen_ids) << "b=" << b << " t=" << t;
@@ -155,12 +156,14 @@ TEST(KnapsackSparseTest, TieBreakMatchesDenseSkipOnTie) {
   EXPECT_EQ(dense->chosen_ids, (std::vector<int>{0}));
 }
 
-TEST(KnapsackSparseTest, DispatchUsesDenseOnlyForSmallPlanes) {
-  // Pin the dispatch boundary so the tuner's own budgets keep exercising
-  // both solvers: the DW knapsack plane (401 x 11) stays dense, the HV
-  // plane (4097 x 11) goes sparse.
-  EXPECT_LE((400 + 1) * (10 + 1), kDenseKnapsackPlaneLimit);
-  EXPECT_GT((4096 + 1) * (10 + 1), kDenseKnapsackPlaneLimit);
+TEST(KnapsackSparseTest, DenseOracleRefusesPlanesPastTheLimit) {
+  // The oracle clamps each budget to the positive items' total weight
+  // first; a plane still past kDenseKnapsackPlaneLimit cells after that
+  // is refused rather than allocated. The solver has no such limit.
+  const std::vector<MKnapsackItem> wide = {
+      Item(0, kDenseKnapsackPlaneLimit, 0, 1.0), Item(1, 0, 1, 1.0)};
+  EXPECT_FALSE(SolveMKnapsackDense(wide, kDenseKnapsackPlaneLimit, 1).ok());
+  EXPECT_TRUE(SolveMKnapsack(wide, kDenseKnapsackPlaneLimit, 1).ok());
 }
 
 // ---- Property: DP matches exhaustive search on random instances. -------

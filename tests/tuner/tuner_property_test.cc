@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "knapsack_dense_oracle.h"
 #include "tuner/interaction.h"
 #include "tuner/knapsack.h"
 #include "tuner/sparsify.h"
@@ -123,12 +124,12 @@ TEST(KnapsackPropertyTest, MatchesBruteForceOnRandomInstances) {
 }
 
 TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
-  // The dispatch in SolveMKnapsack is specified as a pure speed decision:
-  // on every instance the sparse frontier DP must return the exact chosen
-  // set and the exact total (EXPECT_EQ on doubles, no tolerance) of the
-  // dense grid DP. Random instances plus the degenerate budgets 0, 1, and
-  // INT64_MAX (the latter solvable only sparsely, checked against brute
-  // force instead).
+  // SolveMKnapsack (the sparse frontier DP) is specified as a drop-in for
+  // the §4.4.1 grid recurrence: on every instance it must return the
+  // exact chosen set and the exact total (EXPECT_EQ on doubles, no
+  // tolerance) of the dense oracle. Random instances plus the degenerate
+  // budgets 0, 1, and INT64_MAX (the latter checked against brute force
+  // instead), then tuner-shaped instances.
   std::mt19937 rng(20260809);
   std::uniform_int_distribution<int> n_dist(0, 12);
   std::uniform_int_distribution<int64_t> storage_dist(0, 6);
@@ -159,8 +160,7 @@ TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
                  " T=" + std::to_string(transfer_budget));
 
     auto dense = SolveMKnapsackDense(items, storage_budget, transfer_budget);
-    auto sparse = SolveMKnapsackSparse(items, storage_budget,
-                                       transfer_budget);
+    auto sparse = SolveMKnapsack(items, storage_budget, transfer_budget);
     ASSERT_TRUE(dense.ok()) << dense.status().ToString();
     ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
     EXPECT_EQ(sparse->chosen_ids, dense->chosen_ids);
@@ -172,7 +172,7 @@ TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
     // sparse result against brute force — it must pack exactly the
     // positive-benefit items.
     const int64_t huge = std::numeric_limits<int64_t>::max();
-    auto unbounded = SolveMKnapsackSparse(items, huge, huge);
+    auto unbounded = SolveMKnapsack(items, huge, huge);
     ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
     std::vector<int> positives;
     double positive_total = 0;
@@ -184,6 +184,66 @@ TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
     }
     EXPECT_EQ(unbounded->chosen_ids, positives);
     EXPECT_EQ(unbounded->total_benefit, positive_total);
+  }
+
+  // Tuner-shaped instances: the DW and HV phases send 40-330 items of
+  // which only 9-14 have positive benefit; those use 21-53 storage units
+  // of Bd = 400 or Bh = 4096 and 0-53 transfer units against Bt = 10.
+  // Non-positive items carry arbitrary weights; twin positive items
+  // (same weights and benefit) probe the skip-on-tie rule.
+  std::uniform_int_distribution<int> tuner_n_dist(40, 330);
+  std::uniform_int_distribution<int> positive_dist(9, 14);
+  std::uniform_int_distribution<int64_t> positive_storage_dist(1, 4);
+  std::uniform_int_distribution<int64_t> positive_transfer_dist(0, 8);
+  std::uniform_int_distribution<int64_t> other_storage_dist(0, 40);
+  std::uniform_int_distribution<int64_t> other_transfer_dist(0, 12);
+  std::uniform_real_distribution<double> tuner_benefit_dist(1e-3, 1e3);
+  for (int instance = 0; instance < 100; ++instance) {
+    const int n = tuner_n_dist(rng);
+    const int positive = positive_dist(rng);
+    const int64_t storage_budget = instance % 2 == 0 ? 400 : 4096;
+    const int64_t transfer_budget = 10;
+    std::vector<int> order(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<MKnapsackItem> items(static_cast<size_t>(n));
+    MKnapsackItem twin;
+    for (int i = 0; i < n; ++i) {
+      const int id = order[static_cast<size_t>(i)];
+      MKnapsackItem& item = items[static_cast<size_t>(id)];
+      item.id = id;
+      if (i < positive) {
+        if (i % 4 == 3) {
+          item.storage_units = twin.storage_units;
+          item.transfer_units = twin.transfer_units;
+          item.benefit = twin.benefit;
+        } else {
+          item.storage_units = positive_storage_dist(rng);
+          // About half of a phase's items already reside in the target
+          // store and move for free.
+          item.transfer_units = i % 2 == 0 ? 0 : positive_transfer_dist(rng);
+          item.benefit = tuner_benefit_dist(rng);
+        }
+        if (i % 4 == 1) twin = item;
+      } else {
+        item.storage_units = other_storage_dist(rng);
+        item.transfer_units = other_transfer_dist(rng);
+        item.benefit = i % 3 == 0 ? 0.0 : -tuner_benefit_dist(rng);
+      }
+    }
+    SCOPED_TRACE("tuner-shaped instance=" + std::to_string(instance) +
+                 " n=" + std::to_string(n) + " positive=" +
+                 std::to_string(positive) + " B=" +
+                 std::to_string(storage_budget));
+
+    auto dense = SolveMKnapsackDense(items, storage_budget, transfer_budget);
+    auto sparse = SolveMKnapsack(items, storage_budget, transfer_budget);
+    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    EXPECT_EQ(sparse->chosen_ids, dense->chosen_ids);
+    EXPECT_EQ(sparse->total_benefit, dense->total_benefit);
+    EXPECT_EQ(sparse->storage_used, dense->storage_used);
+    EXPECT_EQ(sparse->transfer_used, dense->transfer_used);
   }
 }
 

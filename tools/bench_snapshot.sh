@@ -16,11 +16,13 @@
 # warm paper-workload replay family (plan cache x wave pipelining) and
 # the overload-protection family (BM_ServerOverloadShed: deadline
 # shedding under the chaos fault profile, breaker off/on). The headline
-# number — warm-replay sessions/sec with cache and pipelining on — is
-# lifted into the snapshot block as `warm_replay_sessions_per_s` so
-# gates (tools/check.sh --perf) and readers never dig through benchmark
-# rows; the breaker-on overload row's shed/failed/transition counters
-# are lifted as `overload_*` the same way.
+# number — warm-replay sessions/sec with cache and pipelining on at 4
+# threads, the row bench_server names the headline — is lifted into the
+# snapshot block as `warm_replay_sessions_per_s`, and the same
+# configuration at every thread count as `warm_replay_sessions_per_s_<N>t`,
+# so readers never dig through benchmark rows and a thread count that
+# loses to 1 thread shows; the breaker-on overload row's
+# shed/failed/transition counters are lifted as `overload_*` the same way.
 #
 # Refuses to run against a non-Release build dir (exit 2): every committed
 # snapshot carries library_build_type=release in its google-benchmark
@@ -43,7 +45,7 @@ while [ "$#" -gt 0 ]; do
     --out) OUT="$2"; shift 2 ;;
     --server-out) SERVER_OUT="$2"; shift 2 ;;
     -h|--help)
-      sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) echo "bench_snapshot.sh: unknown option '$1'" >&2; exit 2 ;;
   esac
@@ -110,28 +112,28 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 
-def warm_rows(bench_json, cache_on):
-    """(name, sessions_per_s) of every BM_ServerWarmReplay row with the
-    plan cache in the given state."""
-    prefix = "BM_ServerWarmReplay/%d/" % (1 if cache_on else 0)
+def warm_rows(bench_json, prefix):
+    """(name, sessions_per_s) of every BM_ServerWarmReplay row whose name
+    starts with the given prefix."""
     return [(row["name"], row["sessions_per_s"])
             for row in bench_json.get("benchmarks", [])
             if row.get("name", "").startswith(prefix)
             and "sessions_per_s" in row]
 
 
-# Headline: the best cache-on configuration this machine offers (thread
-# count that wins differs between 1-CPU and multi-core hosts), against
-# the cache-off serial row — the previous generation's serving path.
+# Headline: the row bench_server names the headline (cache and pipelining
+# on, 4 threads), plus that configuration per thread count, against the
+# cache-off serial row — the previous generation's serving path.
+HEADLINE_ROW = "BM_ServerWarmReplay/1/1/4/real_time"
 server_snapshot = dict(snapshot)
-best = max(warm_rows(server, cache_on=True), key=lambda r: r[1],
-           default=None)
-if best is not None:
-    server_snapshot["warm_replay_sessions_per_s"] = best[1]
-    server_snapshot["warm_replay_headline_row"] = best[0]
-for name, rate in warm_rows(server, cache_on=False):
-    if name == "BM_ServerWarmReplay/0/0/1/real_time":
-        server_snapshot["warm_replay_baseline_sessions_per_s"] = rate
+for name, rate in warm_rows(server, "BM_ServerWarmReplay/1/1/"):
+    threads = name.split("/")[3]
+    server_snapshot["warm_replay_sessions_per_s_%st" % threads] = rate
+    if name == HEADLINE_ROW:
+        server_snapshot["warm_replay_sessions_per_s"] = rate
+        server_snapshot["warm_replay_headline_row"] = name
+for name, rate in warm_rows(server, "BM_ServerWarmReplay/0/0/1/"):
+    server_snapshot["warm_replay_baseline_sessions_per_s"] = rate
 # Overload-protection headline: the breaker-on serial row's terminal
 # accounting, so a snapshot diff shows shed/failed drift at a glance.
 for row in server.get("benchmarks", []):

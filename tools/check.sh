@@ -37,7 +37,11 @@
 # server-throughput floor on the warm paper-workload replay: the plan
 # cache must not lose sessions/s against cache-off, and pipelined waves
 # must stay within 1.1x of serial on 1 thread (where speculation cannot
-# help, only cost).
+# help, only cost). It also fails unless the knapsack oracle tests are
+# registered by name (KnapsackPropertyTest.SparseAndDenseSolversAreBitIdentical
+# and the KnapsackSparseTest suite), and runs them: with one M-KNAPSACK
+# solver in production, they are the only check that its packing matches
+# the dense §4.4.1 reference, i.e. that tuning decisions stay put.
 #
 # With --fault the run is restricted to the `fault` ctest label — the
 # fault-injection suite (deterministic chaos sweeps across seeds and
@@ -108,7 +112,7 @@ while [ "$#" -gt 0 ]; do
     --label) LABEL="$2"; shift 2 ;;
     --tidy-only) TIDY_ONLY=1; shift ;;
     -h|--help)
-      sed -n '2,80p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,84p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) echo "check.sh: unknown option '$1'" >&2; exit 2 ;;
   esac
@@ -191,7 +195,21 @@ if [ "$PERF" -eq 1 ]; then
          "would be vacuous" >&2
     exit 1
   fi
-  echo "== check.sh: perf gate smoke-runs $PERF_COUNT bench binaries"
+  # The knapsack oracle tests live outside the perf label, so pin them
+  # by name: each pattern must match at least one registered test.
+  KNAPSACK_PINS=('^KnapsackPropertyTest\.SparseAndDenseSolversAreBitIdentical$'
+                 '^KnapsackSparseTest\.')
+  for PIN in "${KNAPSACK_PINS[@]}"; do
+    PIN_COUNT="$(ctest --test-dir "$BUILD_DIR" -R "$PIN" -N |
+                 sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')"
+    if [ -z "$PIN_COUNT" ] || [ "$PIN_COUNT" -eq 0 ]; then
+      echo "check.sh: no test matching '$PIN' is registered — the" \
+           "knapsack solver would be unchecked against the dense oracle" >&2
+      exit 1
+    fi
+  done
+  echo "== check.sh: perf gate smoke-runs $PERF_COUNT bench binaries" \
+       "(knapsack oracle pins registered)"
 fi
 
 if [ "$FAULT" -eq 1 ]; then
@@ -276,6 +294,10 @@ fi
 ctest "${CTEST_ARGS[@]}"
 
 if [ "$PERF" -eq 1 ]; then
+  echo "== check.sh: knapsack solver vs the dense oracle"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure \
+        -R "$(IFS='|'; echo "${KNAPSACK_PINS[*]}")"
+
   echo "== check.sh: what-if cache hit rate over a short simulation"
   "$BUILD_DIR/tools/debug_cache_stats"
 
