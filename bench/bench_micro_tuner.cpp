@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "bench_util.h"
 #include "hv/hv_store.h"
 #include "optimizer/whatif_cache.h"
@@ -165,6 +168,78 @@ void BM_FullTuningPassWarmCache(benchmark::State& state) {
                  std::to_string(total > 0 ? stats.hits / total : 0.0));
 }
 BENCHMARK(BM_FullTuningPassWarmCache);
+
+/// The fixture's catalogs plus views no window query can use — the
+/// evolving_stream shape, where ~50 of a Tune's ~300 candidates are
+/// relevant. The padding is harvested from other seeds' workloads (the
+/// same analyst query families, different versions), keeping only views
+/// irrelevant to every window query, until there are 250 of them.
+struct WideCatalogs {
+  views::ViewCatalog hv;
+  views::ViewCatalog dw;
+  int padding = 0;
+};
+
+const WideCatalogs& Wide() {
+  static const auto* wide = [] {
+    constexpr int kPadding = 250;
+    TunerFixture& f = Fixture();
+    auto* out = new WideCatalogs{f.hv_catalog, f.dw_catalog, 0};
+    std::vector<optimizer::QueryShape> shapes;
+    for (const plan::Plan& q : f.window) {
+      shapes.push_back(optimizer::QueryShape::Of(q));
+    }
+    hv::HvStore store(hv::HvConfig{}, 100 * kTiB);
+    uint64_t next_id = 1;
+    for (const views::View& v : out->hv.AllViews()) {
+      next_id = std::max(next_id, v.id + 1);
+    }
+    for (uint64_t seed = 43; out->padding < kPadding; ++seed) {
+      workload::WorkloadConfig config;
+      config.seed = seed;
+      auto workload =
+          workload::EvolutionaryWorkload::Generate(&Catalog(), config);
+      if (!workload.ok()) std::abort();
+      for (int i = 0; i < workload->size() && out->padding < kPadding; ++i) {
+        const plan::Plan& q = workload->queries()[static_cast<size_t>(i)].plan;
+        auto exec = store.Execute(q.root(), i, 0, &next_id, q.signature(),
+                                  nullptr, nullptr, 0, &out->hv);
+        if (!exec.ok()) std::abort();
+        for (views::View& v : exec->produced_views) {
+          const bool relevant = std::any_of(
+              shapes.begin(), shapes.end(),
+              [&](const optimizer::QueryShape& s) { return s.Relevant(v); });
+          if (relevant || out->padding >= kPadding) continue;
+          out->hv.AddUnchecked(std::move(v));
+          ++out->padding;
+        }
+      }
+    }
+    return out;
+  }();
+  return *wide;
+}
+
+// BM_FullTuningPassWarmCache over the wide catalogs: the same relevant
+// candidates and plan, plus 250 candidates Tune must walk but never value.
+void BM_FullTuningPassWideCatalog(benchmark::State& state) {
+  TunerFixture& f = Fixture();
+  const WideCatalogs& wide = Wide();
+  tuner::MisoTuner tuner(&f.optimizer, PaperBudgets());
+  optimizer::WhatIfCache cache;
+  cache.SetEpoch(optimizer::WhatIfCache::EpochOf(
+      hv::HvConfig{}, dw::DwConfig{}, transfer::TransferConfig{}));
+  tuner.set_whatif_cache(&cache);
+  benchmark::DoNotOptimize(tuner.Tune(wide.hv, wide.dw, f.window));
+  for (auto _ : state) {
+    auto plan = tuner.Tune(wide.hv, wide.dw, f.window);
+    benchmark::DoNotOptimize(plan);
+  }
+  state.SetLabel(std::to_string(wide.hv.size() + wide.dw.size()) +
+                 " candidates (" + std::to_string(wide.padding) +
+                 " irrelevant)");
+}
+BENCHMARK(BM_FullTuningPassWideCatalog);
 
 /// A reorg cadence: three Tune calls over sliding 6-query windows (stride
 /// 1 over the 8 harvested queries), as the simulator issues them every j

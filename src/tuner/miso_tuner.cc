@@ -31,21 +31,15 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
   const optimizer::WhatIfCache::Stats cache_before =
       cache_ != nullptr ? cache_->GetStats() : optimizer::WhatIfCache::Stats{};
 
-  // Candidate pool V = Vh ∪ Vd (disjoint by invariant). Each catalog is
-  // copied out exactly once; the membership sets are sliced from the
-  // single `candidates` vector (the first `hv_count` entries came from
-  // HV, the rest from DW).
-  std::vector<views::View> candidates = hv.AllViews();
+  // Candidate pool V = Vh ∪ Vd (disjoint by invariant), walked in place:
+  // the first `hv_count` entries point into HV, the rest into DW, each in
+  // catalog (id) order. The pointers stay valid for the whole pass — Tune
+  // never mutates either catalog.
+  std::vector<const views::View*> candidates;
+  candidates.reserve(static_cast<size_t>(hv.size() + dw.size()));
+  for (const auto& [id, view] : hv.views()) candidates.push_back(&view);
   const size_t hv_count = candidates.size();
-  {
-    std::vector<views::View> dw_views = dw.AllViews();
-    candidates.insert(candidates.end(), dw_views.begin(), dw_views.end());
-  }
-  std::set<views::ViewId> in_hv;
-  std::set<views::ViewId> in_dw;
-  for (size_t k = 0; k < candidates.size(); ++k) {
-    (k < hv_count ? in_hv : in_dw).insert(candidates[k].id);
-  }
+  for (const auto& [id, view] : dw.views()) candidates.push_back(&view);
 
   ReorgPlan plan;
   if (candidates.empty()) return plan;
@@ -54,21 +48,37 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
                            config_.benefit_decay, cache_, &session_);
   MISO_RETURN_IF_ERROR(analyzer.SetWindow(window));
 
+  // Relevance first: only candidates that some window query can use are
+  // copied out and valued. An irrelevant view's benefit rows are exactly
+  // +0.0 under every placement (the same QueryShape::Relevant test drives
+  // RelevantMask and ComputeRow's fast path), so it forms no interaction,
+  // would be a singleton part, and its benefit-0 item would never be
+  // packed; leaving it out keeps every other part, item and knapsack id
+  // in the same relative order (DESIGN.md §15.5).
+  std::vector<views::View> relevant;
+  for (const views::View* view : candidates) {
+    const std::vector<uint64_t> mask = analyzer.RelevantMask(*view);
+    if (std::any_of(mask.begin(), mask.end(),
+                    [](uint64_t word) { return word != 0; })) {
+      relevant.push_back(*view);
+    }
+  }
+
   // Interaction handling -> independent candidate items.
   std::vector<CandidateItem> items;
   int64_t significant_interactions = 0;
   if (config_.handle_interactions) {
     MISO_ASSIGN_OR_RETURN(
         std::vector<Interaction> interactions,
-        ComputeInteractions(candidates, &analyzer, config_.interaction,
+        ComputeInteractions(relevant, &analyzer, config_.interaction,
                             optimizer_->thread_pool()));
     significant_interactions = static_cast<int64_t>(interactions.size());
     const std::vector<std::vector<int>> parts =
-        StablePartition(static_cast<int>(candidates.size()), interactions);
+        StablePartition(static_cast<int>(relevant.size()), interactions);
     MISO_ASSIGN_OR_RETURN(
-        items, SparsifySets(candidates, parts, interactions, &analyzer));
+        items, SparsifySets(relevant, parts, interactions, &analyzer));
   } else {
-    for (const views::View& v : candidates) {
+    for (const views::View& v : relevant) {
       CandidateItem item;
       item.members = {v};
       item.size_bytes = v.size_bytes;
@@ -99,7 +109,7 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
     ki.storage_units = ToBudgetUnits(item.size_bytes, d);
     Bytes transfer_bytes = 0;
     for (const views::View& member : item.members) {
-      if (in_hv.count(member.id) > 0) transfer_bytes += member.size_bytes;
+      if (hv.Contains(member.id)) transfer_bytes += member.size_bytes;
     }
     ki.transfer_units = ToBudgetUnits(transfer_bytes, d);
     ki.benefit = config_.store_specific_benefit ? item.benefit_dw
@@ -112,7 +122,9 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
                      bt_units));
 
   std::set<views::ViewId> new_dw;
+  std::vector<bool> packed_in_dw(items.size(), false);
   for (int id : dw_solution.chosen_ids) {
+    packed_in_dw[static_cast<size_t>(id)] = true;
     for (const views::View& member : items[static_cast<size_t>(id)].members) {
       new_dw.insert(member.id);
     }
@@ -126,19 +138,15 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
   // Vh ∩ Vd = ∅). Members evicted from DW consume the remaining transfer
   // budget to move back; members already in HV move for free.
   std::vector<MKnapsackItem> hv_items;
-  std::vector<int> hv_item_ids;
   for (size_t k = 0; k < items.size(); ++k) {
-    if (std::find(dw_solution.chosen_ids.begin(), dw_solution.chosen_ids.end(),
-                  static_cast<int>(k)) != dw_solution.chosen_ids.end()) {
-      continue;
-    }
+    if (packed_in_dw[k]) continue;
     const CandidateItem& item = items[k];
     MKnapsackItem ki;
     ki.id = static_cast<int>(k);
     ki.storage_units = ToBudgetUnits(item.size_bytes, d);
     Bytes transfer_bytes = 0;
     for (const views::View& member : item.members) {
-      if (in_dw.count(member.id) > 0) transfer_bytes += member.size_bytes;
+      if (dw.Contains(member.id)) transfer_bytes += member.size_bytes;
     }
     ki.transfer_units = ToBudgetUnits(transfer_bytes, d);
     ki.benefit = config_.store_specific_benefit ? item.benefit_hv
@@ -157,22 +165,21 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
     }
   }
 
-  // ---- Emit movements.
-  std::vector<views::View> hv_leftovers;
-  std::vector<views::View> dw_leftovers;
-  for (const views::View& view : candidates) {
-    const bool was_hv = in_hv.count(view.id) > 0;
-    const bool was_dw = in_dw.count(view.id) > 0;
+  // ---- Emit movements. Every candidate is walked, relevant or not, so
+  // unchosen views are dropped or retained exactly as before.
+  std::vector<const views::View*> hv_leftovers;
+  std::vector<const views::View*> dw_leftovers;
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    const views::View& view = *candidates[k];
+    const bool was_hv = k < hv_count;
     if (Chosen(new_dw, view.id)) {
       if (was_hv) plan.move_to_dw.push_back(view);
     } else if (Chosen(new_hv, view.id)) {
-      if (was_dw) plan.move_to_hv.push_back(view);
+      if (!was_hv) plan.move_to_hv.push_back(view);
     } else if (config_.retain_unselected_views) {
-      if (was_hv) hv_leftovers.push_back(view);
-      if (was_dw) dw_leftovers.push_back(view);
+      (was_hv ? hv_leftovers : dw_leftovers).push_back(&view);
     } else {
-      if (was_hv) plan.drop_from_hv.push_back(view.id);
-      if (was_dw) plan.drop_from_dw.push_back(view.id);
+      (was_hv ? plan.drop_from_hv : plan.drop_from_dw).push_back(view.id);
     }
   }
 
@@ -180,28 +187,28 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
   // Smaller views first: keeping many small views yields a more diverse
   // design for the unknown future workload (§4.4's diversity rationale)
   // than keeping one recent giant. Ties break toward recency.
-  auto newer_first = [](const views::View& a, const views::View& b) {
-    if (a.size_bytes != b.size_bytes) return a.size_bytes < b.size_bytes;
-    if (a.created_by_query != b.created_by_query) {
-      return a.created_by_query > b.created_by_query;
+  auto newer_first = [](const views::View* a, const views::View* b) {
+    if (a->size_bytes != b->size_bytes) return a->size_bytes < b->size_bytes;
+    if (a->created_by_query != b->created_by_query) {
+      return a->created_by_query > b->created_by_query;
     }
-    return a.id > b.id;
+    return a->id > b->id;
   };
-  auto retain_within = [&](std::vector<views::View>* leftovers,
+  auto retain_within = [&](std::vector<const views::View*>* leftovers,
                            const std::set<views::ViewId>& chosen,
                            Bytes budget,
                            std::vector<views::ViewId>* drops) {
     if (leftovers->empty()) return;
     Bytes used = 0;
-    for (const views::View& view : candidates) {
-      if (Chosen(chosen, view.id)) used += view.size_bytes;
+    for (const views::View* view : candidates) {
+      if (Chosen(chosen, view->id)) used += view->size_bytes;
     }
     std::sort(leftovers->begin(), leftovers->end(), newer_first);
-    for (const views::View& view : *leftovers) {
-      if (used + view.size_bytes <= budget) {
-        used += view.size_bytes;  // silently retained (no movement)
+    for (const views::View* view : *leftovers) {
+      if (used + view->size_bytes <= budget) {
+        used += view->size_bytes;  // silently retained (no movement)
       } else {
-        drops->push_back(view.id);
+        drops->push_back(view->id);
       }
     }
   };
@@ -210,9 +217,9 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
   retain_within(&dw_leftovers, new_dw, config_.dw_storage_budget,
                 &plan.drop_from_dw);
 
-  MISO_LOG(kInfo) << "MISO tuner: " << candidates.size() << " candidates, "
-                  << items.size() << " items after sparsification; "
-                  << plan.Summary();
+  MISO_LOG(kInfo) << "MISO tuner: " << candidates.size() << " candidates ("
+                  << relevant.size() << " relevant), " << items.size()
+                  << " items after sparsification; " << plan.Summary();
 
   // Telemetry, at this serial point (Tune runs on the calling thread; only
   // the analyzer's what-if probes fanned out above). The predicted benefit
@@ -287,8 +294,9 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
     // order (Vh then Vd, each catalog-sorted). "keep" = chosen where it
     // already lives; "retain" = unchosen but left in place under spare
     // capacity; "drop" = evicted.
-    for (const views::View& view : candidates) {
-      const bool was_hv = in_hv.count(view.id) > 0;
+    for (size_t k = 0; k < candidates.size(); ++k) {
+      const views::View& view = *candidates[k];
+      const bool was_hv = k < hv_count;
       const char* decision = nullptr;
       if (Chosen(new_dw, view.id)) {
         decision = was_hv ? "move_to_dw" : "keep_dw";

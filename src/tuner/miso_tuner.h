@@ -59,8 +59,10 @@ struct MisoTunerConfig {
 /// current designs of both stores and the recent workload window.
 ///
 ///   1. pool candidates V = Vh ∪ Vd;
-///   2. compute decayed what-if benefits, pairwise interactions, the
-///      stable partition, and sparsify into independent items;
+///   2. over the candidates relevant to some window query, compute
+///      decayed what-if benefits, pairwise interactions, the stable
+///      partition, and sparsify into independent items (an irrelevant
+///      candidate could only become a never-packed benefit-0 item);
 ///   3. pack the DW M-KNAPSACK (dims Bd x Bt; HV-resident items consume
 ///      transfer budget, DW-resident ones do not);
 ///   4. pack the HV M-KNAPSACK with the remaining transfer budget (dims

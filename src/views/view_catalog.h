@@ -53,6 +53,10 @@ class ViewCatalog {
   /// All views, ordered by id (deterministic iteration).
   std::vector<View> AllViews() const;
 
+  /// Read-only view of the members, ordered by id — `AllViews` without
+  /// the copy. References are invalidated by any mutation of the catalog.
+  const std::map<ViewId, View>& views() const { return views_; }
+
   /// Order-independent hash of the catalog's rewrite-relevant content
   /// (each member's `View::ContentFingerprint`; ids excluded). Two
   /// catalogs with equal fingerprints rewrite every query identically and

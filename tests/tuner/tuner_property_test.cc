@@ -1,8 +1,9 @@
 // Property/stress tests for the tuner's packing machinery: randomized
 // small M-KNAPSACK instances are cross-checked against brute-force subset
-// enumeration (which is exact for n <= 12), and sparsification invariants
-// are exercised over randomized candidate sets. Seeds are fixed, so every
-// run replays the same instances.
+// enumeration (which is exact for n <= 12), sparsification invariants
+// are exercised over randomized candidate sets, and the relevance-first
+// tuner is replayed against the full-pool oracle over seeded workloads.
+// Seeds are fixed, so every run replays the same instances.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,17 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "full_pool_tune_oracle.h"
+#include "hv/hv_store.h"
 #include "knapsack_dense_oracle.h"
+#include "optimizer/whatif_cache.h"
 #include "tuner/interaction.h"
 #include "tuner/knapsack.h"
+#include "tuner/miso_tuner.h"
+#include "tuner/reorg_plan.h"
 #include "tuner/sparsify.h"
 #include "views/view.h"
+#include "workload/evolutionary.h"
 
 namespace miso::tuner {
 namespace {
@@ -348,6 +355,154 @@ TEST_F(SparsifyPropertyTest, InvariantsHoldOverRandomizedCandidateSets) {
       }
     }
   }
+}
+
+class MisoTunerPropertyTest : public ::testing::Test {
+ protected:
+  MisoTunerPropertyTest()
+      : factory_(&PaperCatalog()),
+        hv_model_(hv::HvConfig{}),
+        dw_model_(dw::DwConfig{}),
+        transfer_model_(transfer::TransferConfig{}),
+        optimizer_(&factory_, &hv_model_, &dw_model_, &transfer_model_) {}
+
+  plan::NodeFactory factory_;
+  hv::HvCostModel hv_model_;
+  dw::DwCostModel dw_model_;
+  transfer::TransferModel transfer_model_;
+  optimizer::MultistoreOptimizer optimizer_;
+};
+
+std::vector<views::ViewId> IdsOf(const std::vector<View>& views) {
+  std::vector<views::ViewId> ids;
+  for (const View& view : views) ids.push_back(view.id);
+  return ids;
+}
+
+TEST_F(MisoTunerPropertyTest, RelevanceFirstTuneMatchesFullPool) {
+  // Tune values only the candidates some window query can use; the
+  // full-pool oracle values every candidate. Each seeded evolutionary
+  // workload is replayed through a reorg cadence (harvest every query in
+  // HV, tune every 4 queries over the last 6, apply the plan), with the
+  // catalogs padded before each tune by views no query can use — fresh
+  // signatures, sizes spanning the budgets so retention has to choose.
+  // Both plans must agree movement for movement, in order, under every
+  // combination of the three tuner switches the emission depends on.
+  constexpr int kCadence = 4;
+  constexpr size_t kWindow = 6;
+  constexpr int kPadPerTune = 12;
+  int64_t tunes = 0;
+  int64_t irrelevant = 0;
+  int64_t moved = 0;
+  int64_t dropped = 0;
+  for (int switches = 0; switches < 8; ++switches) {
+    // One workload seed per switch combination; the budgets are drawn.
+    const uint64_t seed = 3 + static_cast<uint64_t>(switches);
+    MisoTunerConfig config;
+    config.handle_interactions = (switches & 1) != 0;
+    config.retain_unselected_views = (switches & 2) != 0;
+    config.store_specific_benefit = (switches & 4) != 0;
+    std::mt19937_64 rng(seed);
+    const Bytes hv_budgets[] = {150 * kGiB, 600 * kGiB, 4 * kTiB};
+    const Bytes dw_budgets[] = {40 * kGiB, 400 * kGiB};
+    config.hv_storage_budget = hv_budgets[rng() % 3];
+    config.dw_storage_budget = dw_budgets[rng() % 2];
+    config.transfer_budget = 10 * kGiB;
+    SCOPED_TRACE("switches=" + std::to_string(switches) +
+                 " seed=" + std::to_string(seed));
+
+    workload::WorkloadConfig workload_config;
+    workload_config.seed = seed;
+    MISO_ASSERT_OK_AND_ASSIGN(
+        const workload::EvolutionaryWorkload workload,
+        workload::EvolutionaryWorkload::Generate(&PaperCatalog(),
+                                                 workload_config));
+    MisoTuner tuner(&optimizer_, config);
+    // Half the runs tune through a persistent what-if cache, as the
+    // simulator does; the oracle never does. Neither changes a result.
+    optimizer::WhatIfCache cache;
+    cache.SetEpoch(optimizer::WhatIfCache::EpochOf(
+        hv::HvConfig{}, dw::DwConfig{}, transfer::TransferConfig{}));
+    if (seed % 2 == 1) tuner.set_whatif_cache(&cache);
+    optimizer::WhatIfSession oracle_session;
+
+    views::ViewCatalog hv(config.hv_storage_budget);
+    views::ViewCatalog dw(config.dw_storage_budget);
+    const hv::HvStore store(hv::HvConfig{}, 100 * kTiB);
+    uint64_t next_id = 1;
+    std::vector<plan::Plan> history;
+    for (int i = 0; i < workload.size(); ++i) {
+      const plan::Plan& query =
+          workload.queries()[static_cast<size_t>(i)].plan;
+      history.push_back(query);
+      MISO_ASSERT_OK_AND_ASSIGN(
+          hv::HvExecution exec,
+          store.Execute(query.root(), i, 0, &next_id, query.signature(),
+                        nullptr, nullptr, 0, &hv));
+      for (View& view : exec.produced_views) {
+        MISO_ASSERT_OK(hv.AddUnchecked(std::move(view)));
+      }
+      if ((i + 1) % kCadence != 0 || hv.empty()) continue;
+
+      const std::vector<View> templates = hv.AllViews();
+      for (int p = 0; p < kPadPerTune; ++p) {
+        View pad = templates[rng() % templates.size()];
+        pad.id = next_id++;
+        pad.signature = rng() | 1;
+        pad.base_signature = rng() % 2 == 0 ? 0 : rng() | 1;
+        pad.size_bytes = static_cast<Bytes>(1 + rng() % 120) * kGiB;
+        pad.stats.bytes = pad.size_bytes;
+        pad.created_by_query = i;
+        if (rng() % 3 != 0 || !dw.Add(pad).ok()) {
+          MISO_ASSERT_OK(hv.AddUnchecked(std::move(pad)));
+        }
+      }
+
+      const size_t start =
+          history.size() > kWindow ? history.size() - kWindow : 0;
+      const std::vector<plan::Plan> window(
+          history.begin() + static_cast<std::ptrdiff_t>(start),
+          history.end());
+      std::vector<optimizer::QueryShape> shapes;
+      for (const plan::Plan& q : window) {
+        shapes.push_back(optimizer::QueryShape::Of(q));
+      }
+      for (const views::ViewCatalog* catalog : {&hv, &dw}) {
+        for (const auto& [id, view] : catalog->views()) {
+          if (std::none_of(shapes.begin(), shapes.end(),
+                           [&](const optimizer::QueryShape& shape) {
+                             return shape.Relevant(view);
+                           })) {
+            ++irrelevant;
+          }
+        }
+      }
+
+      SCOPED_TRACE("query=" + std::to_string(i));
+      MISO_ASSERT_OK_AND_ASSIGN(const ReorgPlan got,
+                                tuner.Tune(hv, dw, window));
+      MISO_ASSERT_OK_AND_ASSIGN(
+          const ReorgPlan want,
+          FullPoolTune(&optimizer_, config, hv, dw, window,
+                       &oracle_session));
+      EXPECT_EQ(IdsOf(got.move_to_dw), IdsOf(want.move_to_dw));
+      EXPECT_EQ(IdsOf(got.move_to_hv), IdsOf(want.move_to_hv));
+      EXPECT_EQ(got.drop_from_hv, want.drop_from_hv);
+      EXPECT_EQ(got.drop_from_dw, want.drop_from_dw);
+      ++tunes;
+      moved += static_cast<int64_t>(got.move_to_dw.size() +
+                                    got.move_to_hv.size());
+      dropped += static_cast<int64_t>(got.drop_from_hv.size() +
+                                      got.drop_from_dw.size());
+      MISO_ASSERT_OK(ApplyReorgPlan(got, &hv, &dw));
+    }
+  }
+  // The replay must exercise what it claims to: pruned candidates, and
+  // plans that both move and drop views.
+  EXPECT_EQ(tunes, 8 * 8);
+  EXPECT_GT(irrelevant, tunes * kPadPerTune);
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(dropped, 0);
 }
 
 }  // namespace

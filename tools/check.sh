@@ -41,7 +41,10 @@
 # registered by name (KnapsackPropertyTest.SparseAndDenseSolversAreBitIdentical
 # and the KnapsackSparseTest suite), and runs them: with one M-KNAPSACK
 # solver in production, they are the only check that its packing matches
-# the dense §4.4.1 reference, i.e. that tuning decisions stay put.
+# the dense §4.4.1 reference, i.e. that tuning decisions stay put. The
+# same holds for MisoTunerPropertyTest.RelevanceFirstTuneMatchesFullPool,
+# which pins the relevance-first Tune to the full-pool oracle: --perf
+# fails unless it is registered, and runs it.
 #
 # With --fault the run is restricted to the `fault` ctest label — the
 # fault-injection suite (deterministic chaos sweeps across seeds and
@@ -112,7 +115,7 @@ while [ "$#" -gt 0 ]; do
     --label) LABEL="$2"; shift 2 ;;
     --tidy-only) TIDY_ONLY=1; shift ;;
     -h|--help)
-      sed -n '2,84p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,87p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) echo "check.sh: unknown option '$1'" >&2; exit 2 ;;
   esac
@@ -208,8 +211,22 @@ if [ "$PERF" -eq 1 ]; then
       exit 1
     fi
   done
+  # Likewise the relevance-first tuner's differential test: it is the
+  # only check that Tune, which values only the candidates some window
+  # query can use, still emits the full-pool plan.
+  TUNE_PINS=('^MisoTunerPropertyTest\.RelevanceFirstTuneMatchesFullPool$')
+  for PIN in "${TUNE_PINS[@]}"; do
+    PIN_COUNT="$(ctest --test-dir "$BUILD_DIR" -R "$PIN" -N |
+                 sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')"
+    if [ -z "$PIN_COUNT" ] || [ "$PIN_COUNT" -eq 0 ]; then
+      echo "check.sh: no test matching '$PIN' is registered — the" \
+           "relevance-first tuner would be unchecked against the" \
+           "full-pool oracle" >&2
+      exit 1
+    fi
+  done
   echo "== check.sh: perf gate smoke-runs $PERF_COUNT bench binaries" \
-       "(knapsack oracle pins registered)"
+       "(knapsack and full-pool tuner oracle pins registered)"
 fi
 
 if [ "$FAULT" -eq 1 ]; then
@@ -297,6 +314,9 @@ if [ "$PERF" -eq 1 ]; then
   echo "== check.sh: knapsack solver vs the dense oracle"
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
         -R "$(IFS='|'; echo "${KNAPSACK_PINS[*]}")"
+  echo "== check.sh: relevance-first tuner vs the full-pool oracle"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure \
+        -R "$(IFS='|'; echo "${TUNE_PINS[*]}")"
 
   echo "== check.sh: what-if cache hit rate over a short simulation"
   "$BUILD_DIR/tools/debug_cache_stats"
