@@ -78,10 +78,14 @@ void BM_SplitEnumeration(benchmark::State& state) {
 BENCHMARK(BM_SplitEnumeration);
 
 void BM_WhatIfCost(benchmark::State& state) {
+  // A cold probe through the memoized path every what-if caller takes: a
+  // fresh session per iteration, so nothing is answered from the memo.
   OptimizerFixture& f = Fixture();
   const plan::Plan& q = Workload().queries()[11].plan;
   for (auto _ : state) {
-    auto cost = f.optimizer.WhatIfCost(q, f.dw_catalog, f.hv_catalog);
+    optimizer::WhatIfSession session;
+    auto cost =
+        f.optimizer.WhatIfCost(q, f.dw_catalog, f.hv_catalog, session);
     benchmark::DoNotOptimize(cost);
   }
 }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
+#include <cstdio>
+#include <string>
 
 #include "common/hash.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
+#include "verify/error_codes.h"
 #include "verify/plan_verifier.h"
 #include "verify/verify_gate.h"
 
@@ -97,12 +99,16 @@ void AddAnatomyFields(obs::TraceEvent& event, const MultistorePlan& plan,
       .Double("total_s", plan.cost.Total());
 }
 
-}  // namespace
-
-Result<MultistorePlan> MultistoreOptimizer::CostSplit(
-    const plan::Plan& executed, const SplitCandidate& split) const {
-  return CostSplit(executed, split, /*hv_costs=*/nullptr);
+/// A what-if answer for a V130 diagnostic: the total to the last bit
+/// (%.17g round-trips a double), or the error.
+std::string DescribeTotal(const Result<Seconds>& total) {
+  if (!total.ok()) return total.status().ToString();
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g s", *total);
+  return buf;
 }
+
+}  // namespace
 
 Result<MultistorePlan> MultistoreOptimizer::CostSplit(
     const plan::Plan& executed, const SplitCandidate& split,
@@ -164,54 +170,50 @@ Result<MultistorePlan> MultistoreOptimizer::CostSplit(
   return ms;
 }
 
-MultistoreOptimizer::HvSubtreeCosts
-MultistoreOptimizer::PrecomputeHvSubtreeCosts(
-    const plan::Plan& executed,
-    const std::vector<SplitCandidate>& candidates) const {
-  HvSubtreeCosts costs;
-  for (const SplitCandidate& split : candidates) {
-    if (split.dw_side.empty()) {
-      if (costs.find(executed.root().get()) == costs.end()) {
-        costs.emplace(executed.root().get(),
-                      hv_model_->SubtreeCost(executed.root()));
-      }
-      continue;
-    }
-    for (const NodePtr& cut : split.cut_inputs) {
-      // Leaf cut inputs (Scan / ViewScan) use the map-only export formula
-      // in CostSplit, not SubtreeCost — skip them here too.
-      if (cut->kind() == OpKind::kScan || cut->kind() == OpKind::kViewScan) {
-        continue;
-      }
-      if (costs.find(cut.get()) == costs.end()) {
-        costs.emplace(cut.get(), hv_model_->SubtreeCost(cut));
-      }
-    }
-  }
-  return costs;
-}
-
-Result<MultistorePlan> MultistoreOptimizer::BestSplit(
-    const plan::Plan& executed) const {
+Result<std::vector<Result<MultistorePlan>>>
+MultistoreOptimizer::CostAllSplits(const plan::Plan& executed,
+                                   bool verify_each) const {
   MISO_ASSIGN_OR_RETURN(std::vector<SplitCandidate> candidates,
                         EnumerateSplits(executed.root(),
                                         /*max_candidates=*/100000, pool_));
-  // One SubtreeCost per distinct cut subtree, shared by every candidate it
-  // heads (dedup of pure recomputation — each stored Result is exactly what
-  // the per-candidate walk would produce).
-  const HvSubtreeCosts hv_costs =
-      PrecomputeHvSubtreeCosts(executed, candidates);
-  // Cost every candidate into its own slot (independent work over
-  // immutable inputs), then reduce serially in candidate order: the
-  // strict < keeps the earliest minimum, and errors surface for the
-  // lowest-indexed failing candidate — both exactly as the serial loop.
+  // One SubtreeCost per distinct non-leaf cut subtree (plus the root when
+  // some candidate is HV-only), computed serially before the fan-out and
+  // shared by every candidate it heads: dedup of pure recomputation, each
+  // stored Result exactly what the per-candidate walk would produce.
+  HvSubtreeCosts hv_costs;
+  const auto precompute = [&](const NodePtr& node) {
+    if (hv_costs.find(node.get()) == hv_costs.end()) {
+      hv_costs.emplace(node.get(), hv_model_->SubtreeCost(node));
+    }
+  };
+  for (const SplitCandidate& split : candidates) {
+    if (split.dw_side.empty()) {
+      precompute(executed.root());
+      continue;
+    }
+    for (const NodePtr& cut : split.cut_inputs) {
+      // Leaf cut inputs (Scan / ViewScan) use CostSplit's map-only export
+      // formula, not SubtreeCost.
+      if (cut->kind() != OpKind::kScan && cut->kind() != OpKind::kViewScan) {
+        precompute(cut);
+      }
+    }
+  }
+  // Cost (and verify) every candidate into its own slot — independent
+  // work over immutable inputs — so callers reduce serially in candidate
+  // order, exactly as the serial loop would, for any thread count.
   std::vector<Result<MultistorePlan>> costed(
       candidates.size(), Status::Internal("candidate not costed"));
   ParallelFor(
       pool_, static_cast<int>(candidates.size()),
       [&](int i) {
-        costed[static_cast<size_t>(i)] = CostSplit(
+        Result<MultistorePlan> one = CostSplit(
             executed, candidates[static_cast<size_t>(i)], &hv_costs);
+        if (one.ok() && verify_each) {
+          const Status verdict = verify::VerifyMultistorePlan(*one);
+          if (!verdict.ok()) one = verdict;
+        }
+        costed[static_cast<size_t>(i)] = std::move(one);
       },
       kCostingBatch);
   if (obs::MetricsOn()) {
@@ -219,6 +221,15 @@ Result<MultistorePlan> MultistoreOptimizer::BestSplit(
         .GetCounter(obs::names::kCandidatesCosted)
         ->Add(static_cast<int64_t>(costed.size()));
   }
+  return costed;
+}
+
+Result<MultistorePlan> MultistoreOptimizer::BestSplit(
+    const plan::Plan& executed) const {
+  MISO_ASSIGN_OR_RETURN(std::vector<Result<MultistorePlan>> costed,
+                        CostAllSplits(executed, /*verify_each=*/false));
+  // The strict < keeps the earliest minimum, and errors surface for the
+  // lowest-indexed failing candidate.
   Result<MultistorePlan> best =
       Status::Internal("no candidate produced a costable plan");
   for (Result<MultistorePlan>& candidate : costed) {
@@ -244,47 +255,12 @@ Result<MultistorePlan> MultistoreOptimizer::Optimize(
   if (!options.dw_available) {
     return OptimizeHvOnly(query, hv_views, /*use_views=*/true);
   }
+  MISO_ASSIGN_OR_RETURN(std::vector<plan::Plan> variants,
+                        RewriteVariants(query, dw_views, hv_views));
   Result<MultistorePlan> best =
       Status::Internal("optimizer produced no plan");
-
-  // Rewrite variants, strongest first. A DW-view rewrite can be split-
-  // infeasible (DW view below an HV-only UDF); later variants always admit
-  // at least the HV-only split.
-  views::RewriteReport report;
-  Result<plan::Plan> with_both =
-      rewriter_.Rewrite(query, dw_views, hv_views, &report);
-  MISO_RETURN_IF_ERROR(with_both.status());
-  // DW-views-only: a shallow HV match can shadow deeper DW matches in the
-  // combined rewrite (the rewriter replaces the largest subtree first), so
-  // the DW-only rewrite exposes plans that run deeper inside the DW.
-  Result<plan::Plan> with_dw = rewriter_.RewriteSingleStore(
-      query, dw_views, StoreKind::kDw, /*report=*/nullptr);
-  MISO_RETURN_IF_ERROR(with_dw.status());
-  Result<plan::Plan> with_hv = rewriter_.RewriteSingleStore(
-      query, hv_views, StoreKind::kHv, /*report=*/nullptr);
-  MISO_RETURN_IF_ERROR(with_hv.status());
-
-  // Rewrites preserve canonical identity, so signatures cannot distinguish
-  // the variants — but a rewrite that changed nothing hands back the
-  // query's own root node, so pointer-equal roots are the same tree and
-  // would yield byte-identical BestSplit results. Skipping them keeps the
-  // first occurrence, which the strict-< reduce would keep anyway.
-  const plan::Plan* all_variants[4] = {&with_both.value(), &with_dw.value(),
-                                       &with_hv.value(), &query};
-  const plan::Plan* variants[4];
-  int num_variants = 0;
-  for (const plan::Plan* variant : all_variants) {
-    bool duplicate = false;
-    for (int i = 0; i < num_variants; ++i) {
-      duplicate = duplicate || variants[i]->root().get() ==
-                                   variant->root().get();
-    }
-    if (!duplicate) variants[num_variants++] = variant;
-  }
-
-  for (int v = 0; v < num_variants; ++v) {
-    const plan::Plan* variant = variants[v];
-    Result<MultistorePlan> candidate = BestSplit(*variant);
+  for (const plan::Plan& variant : variants) {
+    Result<MultistorePlan> candidate = BestSplit(variant);
     if (!candidate.ok()) {
       if (candidate.status().code() == StatusCode::kFailedPrecondition) {
         continue;  // this rewrite admits no feasible split
@@ -342,7 +318,8 @@ Result<MultistorePlan> MultistoreOptimizer::OptimizeHvOnly(
                                                /*report=*/nullptr));
   }
   SplitCandidate hv_only;  // empty DW side
-  Result<MultistorePlan> costed = CostSplit(executed, hv_only);
+  Result<MultistorePlan> costed =
+      CostSplit(executed, hv_only, /*hv_costs=*/nullptr);
   if (costed.ok() && verify::Enabled()) {
     verify::PlanVerifierOptions options;
     options.hv_views = &hv_views;
@@ -353,32 +330,10 @@ Result<MultistorePlan> MultistoreOptimizer::OptimizeHvOnly(
 
 Result<std::vector<MultistorePlan>> MultistoreOptimizer::EnumerateAllPlans(
     const plan::Plan& query) const {
-  MISO_ASSIGN_OR_RETURN(std::vector<SplitCandidate> candidates,
-                        EnumerateSplits(query.root(),
-                                        /*max_candidates=*/100000, pool_));
-  const HvSubtreeCosts hv_costs = PrecomputeHvSubtreeCosts(query, candidates);
-  // Per-candidate costing + verification is independent; slots keep the
-  // enumeration order, so the returned population is bit-identical to
-  // the serial path for any thread count.
-  std::vector<Result<MultistorePlan>> costed(
-      candidates.size(), Status::Internal("candidate not costed"));
-  ParallelFor(
-      pool_, static_cast<int>(candidates.size()),
-      [&](int i) {
-        Result<MultistorePlan> one = CostSplit(
-            query, candidates[static_cast<size_t>(i)], &hv_costs);
-        if (one.ok() && verify::Enabled()) {
-          const Status verdict = verify::VerifyMultistorePlan(*one);
-          if (!verdict.ok()) one = verdict;
-        }
-        costed[static_cast<size_t>(i)] = std::move(one);
-      },
-      kCostingBatch);
-  if (obs::MetricsOn()) {
-    obs::Metrics()
-        .GetCounter(obs::names::kCandidatesCosted)
-        ->Add(static_cast<int64_t>(costed.size()));
-  }
+  // Slots keep the enumeration order, so the returned population is
+  // bit-identical to the serial path for any thread count.
+  MISO_ASSIGN_OR_RETURN(std::vector<Result<MultistorePlan>> costed,
+                        CostAllSplits(query, verify::Enabled()));
   std::vector<MultistorePlan> plans;
   plans.reserve(costed.size());
   for (Result<MultistorePlan>& one : costed) {
@@ -399,24 +354,59 @@ Result<std::vector<MultistorePlan>> MultistoreOptimizer::EnumerateAllPlans(
   return plans;
 }
 
-Result<Seconds> MultistoreOptimizer::WhatIfCost(
+Result<std::vector<plan::Plan>> MultistoreOptimizer::RewriteVariants(
     const plan::Plan& query, const views::ViewCatalog& dw_views,
     const views::ViewCatalog& hv_views) const {
-  WhatIfScope probe;  // suppress per-probe plan_choice trace lines
-  if (obs::MetricsOn()) {
-    obs::Metrics().GetCounter(obs::names::kWhatIfProbes)->Increment();
+  // A DW-view rewrite can be split-infeasible (DW view below an HV-only
+  // UDF); later variants always admit at least the HV-only split. A
+  // shallow HV match can shadow deeper DW matches in the combined rewrite
+  // (the largest subtree is replaced first), hence the DW-only variant.
+  // Provably equal variants are never built: an empty catalog matches
+  // nothing, so it adds no variant of its own, and `TryStore` picks views
+  // as a function of (node, catalog) only, so with the same catalog on
+  // both stores the combined rewrite is the DW-only one. A rewrite that
+  // changed nothing returns the query's own root, so pointer-equal roots
+  // are one tree; keeping the first is what every strict-< reduce does.
+  std::vector<plan::Plan> variants;
+  variants.reserve(4);
+  const auto add = [&variants](plan::Plan variant) {
+    for (const plan::Plan& kept : variants) {
+      if (kept.root() == variant.root()) return;
+    }
+    variants.push_back(std::move(variant));
+  };
+  const bool dw_empty = dw_views.empty();
+  const bool hv_empty = hv_views.empty();
+  if (!dw_empty && !hv_empty && &dw_views != &hv_views) {
+    MISO_ASSIGN_OR_RETURN(plan::Plan with_both,
+                          rewriter_.Rewrite(query, dw_views, hv_views,
+                                            /*report=*/nullptr));
+    add(std::move(with_both));
   }
-  MISO_ASSIGN_OR_RETURN(MultistorePlan best,
-                        Optimize(query, dw_views, hv_views));
-  return best.cost.Total();
+  if (!dw_empty) {
+    MISO_ASSIGN_OR_RETURN(
+        plan::Plan with_dw,
+        rewriter_.RewriteSingleStore(query, dw_views, StoreKind::kDw,
+                                     /*report=*/nullptr));
+    add(std::move(with_dw));
+  }
+  if (!hv_empty) {
+    MISO_ASSIGN_OR_RETURN(
+        plan::Plan with_hv,
+        rewriter_.RewriteSingleStore(query, hv_views, StoreKind::kHv,
+                                     /*report=*/nullptr));
+    add(std::move(with_hv));
+  }
+  add(query);
+  return variants;
 }
 
 Result<Seconds> MultistoreOptimizer::SessionBestSplitTotal(
-    const plan::Plan& executed, WhatIfSession* session) const {
+    const plan::Plan& executed, WhatIfSession& session) const {
   const uint64_t key = StructuralPlanHash(executed.root());
-  MutexLock lock(session->mu_);
-  const auto it = session->best_split_totals_.find(key);
-  if (it != session->best_split_totals_.end()) return it->second;
+  MutexLock lock(session.mu_);
+  const auto it = session.best_split_totals_.find(key);
+  if (it != session.best_split_totals_.end()) return it->second;
   // Solve under the lock: each key is enumerated and costed exactly once
   // per session regardless of thread count, so the optimizer's costing
   // counters stay deterministic. Deadlock-free: a worker holding the lock
@@ -429,91 +419,39 @@ Result<Seconds> MultistoreOptimizer::SessionBestSplitTotal(
   // Sessions may be tuner-lifetime (a long-running server re-tunes
   // indefinitely); bound the memo by resetting when full — always safe for
   // a pure memo, and one reorg's worth of distinct variants is hundreds.
-  if (session->best_split_totals_.size() >= WhatIfSession::kMaxEntries) {
-    session->best_split_totals_.clear();
+  if (session.best_split_totals_.size() >= WhatIfSession::kMaxEntries) {
+    session.best_split_totals_.clear();
   }
-  session->best_split_totals_.emplace(key, total);
+  session.best_split_totals_.emplace(key, total);
   return total;
 }
 
-Result<Seconds> MultistoreOptimizer::WhatIfCost(
+Result<Seconds> MultistoreOptimizer::SessionWhatIfCost(
     const plan::Plan& query, const views::ViewCatalog& dw_views,
-    const views::ViewCatalog& hv_views,
-    WhatIfSession* session) const {
-  // The verified path re-checks every winning probe plan against the probe
-  // catalogs; a memo hit has no plan to verify, so verification builds use
-  // the plain path (and get the plain path's exact behavior).
-  if (session == nullptr || verify::Enabled()) {
-    return WhatIfCost(query, dw_views, hv_views);
-  }
-  WhatIfScope probe;  // suppress per-probe plan_choice trace lines
-  if (obs::MetricsOn()) {
-    obs::Metrics().GetCounter(obs::names::kWhatIfProbes)->Increment();
-  }
+    const views::ViewCatalog& hv_views, WhatIfSession& session) const {
   // Probe-level memo: the answer is a pure function of (query tree, DW
   // catalog content, HV catalog content), so a repeat probe — typical
   // across successive tuning passes sharing window and candidates — skips
-  // even the rewrites.
-  const uint64_t probe_key = HashCombine(
-      query.signature(), HashCombine(dw_views.ContentFingerprint(),
-                                     hv_views.ContentFingerprint()));
+  // even the rewrites. The query side is its structural hash, not its
+  // signature: queries equal up to filter selectivity share a signature
+  // but not a cost.
+  const uint64_t probe_key =
+      HashCombine(StructuralPlanHash(query.root()),
+                  HashCombine(dw_views.ContentFingerprint(),
+                              hv_views.ContentFingerprint()));
   {
-    MutexLock lock(session->mu_);
-    const auto it = session->probe_totals_.find(probe_key);
-    if (it != session->probe_totals_.end()) return it->second;
+    MutexLock lock(session.mu_);
+    const auto it = session.probe_totals_.find(probe_key);
+    if (it != session.probe_totals_.end()) return it->second;
   }
-  // Same variant set and reduction as Optimize; only the total of each
+  // Same variants and reduction as Optimize; only the total of each
   // variant's best split is needed, and that total is a pure function of
-  // the variant tree, so each resolves through the session memo. Variants
-  // provably identical to another are skipped before even rewriting:
-  //  - an empty catalog never matches (`TryStore` finds nothing), so its
-  //    single-store rewrite is the bare query, and the combined rewrite
-  //    collapses to the other store's single-store rewrite;
-  //  - `TryStore`'s choice is a function of (node, catalog) only — the
-  //    store argument just tags the spliced ViewScan — so with the *same*
-  //    catalog on both stores the combined rewrite (DW preferred at every
-  //    node) picks exactly the DW-only rewrite's matches.
-  // What-if probes hit these shapes constantly (a hypothetical design is
-  // the same candidate set in one or both stores); Optimize keeps the full
-  // four-variant evaluation, whose winner must carry a concrete plan.
-  const bool dw_empty = dw_views.empty();
-  const bool hv_empty = hv_views.empty();
-  std::optional<plan::Plan> with_both;
-  std::optional<plan::Plan> with_dw;
-  std::optional<plan::Plan> with_hv;
-  if (!dw_empty) {
-    MISO_ASSIGN_OR_RETURN(
-        with_dw, rewriter_.RewriteSingleStore(query, dw_views, StoreKind::kDw,
-                                              /*report=*/nullptr));
-  }
-  if (!hv_empty) {
-    MISO_ASSIGN_OR_RETURN(
-        with_hv, rewriter_.RewriteSingleStore(query, hv_views, StoreKind::kHv,
-                                              /*report=*/nullptr));
-  }
-  if (!dw_empty && !hv_empty && &dw_views != &hv_views) {
-    MISO_ASSIGN_OR_RETURN(
-        with_both, rewriter_.Rewrite(query, dw_views, hv_views,
-                                     /*report=*/nullptr));
-  }
-  const plan::Plan* all_variants[4] = {
-      with_both.has_value() ? &*with_both : nullptr,
-      with_dw.has_value() ? &*with_dw : nullptr,
-      with_hv.has_value() ? &*with_hv : nullptr, &query};
-  const plan::Plan* variants[4];
-  int num_variants = 0;
-  for (const plan::Plan* variant : all_variants) {
-    if (variant == nullptr) continue;
-    bool duplicate = false;
-    for (int i = 0; i < num_variants; ++i) {
-      duplicate = duplicate || variants[i]->root().get() ==
-                                   variant->root().get();
-    }
-    if (!duplicate) variants[num_variants++] = variant;
-  }
+  // the variant tree, so each resolves through the variant memo.
+  MISO_ASSIGN_OR_RETURN(std::vector<plan::Plan> variants,
+                        RewriteVariants(query, dw_views, hv_views));
   Result<Seconds> best = Status::Internal("optimizer produced no plan");
-  for (int v = 0; v < num_variants; ++v) {
-    Result<Seconds> total = SessionBestSplitTotal(*variants[v], session);
+  for (const plan::Plan& variant : variants) {
+    Result<Seconds> total = SessionBestSplitTotal(variant, session);
     if (!total.ok()) {
       if (total.status().code() == StatusCode::kFailedPrecondition) {
         continue;  // this rewrite admits no feasible split
@@ -526,13 +464,47 @@ Result<Seconds> MultistoreOptimizer::WhatIfCost(
     if (!best.ok() || *total < *best) best = total;
   }
   {
-    MutexLock lock(session->mu_);
-    if (session->probe_totals_.size() >= WhatIfSession::kMaxEntries) {
-      session->probe_totals_.clear();
+    MutexLock lock(session.mu_);
+    if (session.probe_totals_.size() >= WhatIfSession::kMaxEntries) {
+      session.probe_totals_.clear();
     }
-    session->probe_totals_.emplace(probe_key, best);
+    session.probe_totals_.emplace(probe_key, best);
   }
   return best;
+}
+
+Result<Seconds> MultistoreOptimizer::WhatIfCost(
+    const plan::Plan& query, const views::ViewCatalog& dw_views,
+    const views::ViewCatalog& hv_views, WhatIfSession& session) const {
+  WhatIfScope probe;  // suppress per-probe plan_choice trace lines
+  if (obs::MetricsOn()) {
+    obs::Metrics().GetCounter(obs::names::kWhatIfProbes)->Increment();
+  }
+  const Result<Seconds> answer =
+      SessionWhatIfCost(query, dw_views, hv_views, session);
+  if (!verify::Enabled()) return answer;
+  // Verification checks the memo's answer: Optimize re-plans the probe,
+  // verifying its winner against the probe catalogs (V104 included). This
+  // sits outside the variant loop, whose kFailedPrecondition skip would
+  // swallow a verifier error.
+  const Result<MultistorePlan> reference =
+      Optimize(query, dw_views, hv_views);
+  if (!reference.ok() &&
+      verify::ExtractVerifyCode(reference.status()).has_value()) {
+    return reference.status();
+  }
+  const Result<Seconds> expected =
+      reference.ok() ? Result<Seconds>(reference->cost.Total())
+                     : Result<Seconds>(reference.status());
+  const bool agree = answer.ok() == expected.ok() &&
+                     (!answer.ok() || std::bit_cast<uint64_t>(*answer) ==
+                                          std::bit_cast<uint64_t>(*expected));
+  if (agree) return answer;
+  return verify::MakeVerifyError(
+      verify::VerifyCode::kWhatIfAnswerDrift,
+      "what-if probe of '" + query.query_name() + "' answered " +
+          DescribeTotal(answer) + " from the session memo, but Optimize " +
+          "gives " + DescribeTotal(expected));
 }
 
 }  // namespace miso::optimizer

@@ -33,7 +33,7 @@ struct OptimizeOptions {
 /// never need invalidation while the optimizer (and hence its cost
 /// models) stays fixed:
 ///
-///  1. *Probe* level — the probe's answer keyed by (query signature, DW
+///  1. *Probe* level — the probe's answer keyed by (query structure, DW
 ///     catalog content fingerprint, HV catalog content fingerprint). A
 ///     repeat probe skips everything, including the rewrites. Distinct
 ///     probes within one cold tuning pass rarely repeat (the analyzer's
@@ -51,7 +51,7 @@ struct OptimizeOptions {
 /// (immutable nodes, const cost models), and the structural hash covers
 /// every field the enumerator and the cost models read (kind, per-node
 /// canonical signature, stats, DW-executability, ViewScan store/content,
-/// UDF and filter cost parameters); the probe key relies on the same
+/// UDF and filter cost parameters); the probe key adds the same
 /// content-identity contract as `WhatIfCache::Fingerprint` (equal catalog
 /// contents rewrite and cost identically).
 ///
@@ -70,6 +70,7 @@ class WhatIfSession {
 
  private:
   friend class MultistoreOptimizer;
+  friend class WhatIfSessionTestPeer;  // test-only: poisons memo entries
 
   /// Memo size bound for long-lived (tuner-lifetime) sessions; reaching it
   /// resets the memo (always safe — entries are pure recomputables). One
@@ -88,7 +89,7 @@ class WhatIfSession {
 /// current (or hypothetical) multistore design, it:
 ///
 ///  1. generates candidate rewrites — using both stores' views (DW
-///     preferred), using HV views only, and using no views (the rewrite
+///     preferred), DW views only, HV views only, and no views (the rewrite
 ///     with DW views may admit no feasible split when a DW view sits below
 ///     an HV-only UDF, hence the fallbacks);
 ///  2. enumerates the feasible splits of each rewrite;
@@ -141,25 +142,14 @@ class MultistoreOptimizer {
       const plan::Plan& query) const;
 
   /// What-if interface: total cost of the best plan under a hypothetical
-  /// design (paper: cost(q, M)).
-  Result<Seconds> WhatIfCost(const plan::Plan& query,
-                             const views::ViewCatalog& dw_views,
-                             const views::ViewCatalog& hv_views) const;
-
-  /// As above, with a per-tuning-pass `WhatIfSession` memoizing best-split
-  /// totals across probes. Returns exactly what the session-free overload
-  /// returns — the memo only changes how much enumeration and costing the
-  /// answer costs. Falls back to the plain path when `session` is null or
-  /// verification is enabled (the verified path re-checks every winning
-  /// probe plan, which a memo hit would skip).
+  /// design (paper: cost(q, M)), answered through `session`'s memos. It
+  /// equals `Optimize(query, dw_views, hv_views)->cost.Total()`; the memo
+  /// only saves work. Verification also makes that `Optimize` call and
+  /// fails the probe with V130 unless value and ok-ness match exactly.
   Result<Seconds> WhatIfCost(const plan::Plan& query,
                              const views::ViewCatalog& dw_views,
                              const views::ViewCatalog& hv_views,
-                             WhatIfSession* session) const;
-
-  /// Costs one concrete (rewritten plan, split) pair.
-  Result<MultistorePlan> CostSplit(const plan::Plan& executed,
-                                   const SplitCandidate& split) const;
+                             WhatIfSession& session) const;
 
   /// Installs (or clears, with nullptr) the pool used to cost candidate
   /// splits concurrently. The pool is borrowed, not owned; it must
@@ -178,24 +168,35 @@ class MultistoreOptimizer {
   /// cheapest; error when no feasible split exists.
   Result<MultistorePlan> BestSplit(const plan::Plan& executed) const;
 
-  /// `CostSplit` with the shared-subtree memo; public 2-arg `CostSplit`
-  /// passes null (compute directly).
+  /// Every split of `executed`, costed into its own slot in enumeration
+  /// order for any thread count; with `verify_each`, each plan verified.
+  Result<std::vector<Result<MultistorePlan>>> CostAllSplits(
+      const plan::Plan& executed, bool verify_each) const;
+
+  /// Costs one concrete (rewritten plan, split) pair, reading HV subtree
+  /// costs from `hv_costs` when given instead of re-walking them.
   Result<MultistorePlan> CostSplit(const plan::Plan& executed,
                                    const SplitCandidate& split,
                                    const HvSubtreeCosts* hv_costs) const;
 
-  /// One `SubtreeCost` per distinct non-leaf cut subtree (plus the plan
-  /// root when some candidate is HV-only), computed serially in candidate
-  /// order before the costing fan-out. Dedup only — every stored Result is
-  /// one the serial path would compute for some candidate.
-  HvSubtreeCosts PrecomputeHvSubtreeCosts(
-      const plan::Plan& executed,
-      const std::vector<SplitCandidate>& candidates) const;
+  /// The rewrite variants of `query`, strongest first — both stores'
+  /// views, DW views only, HV views only, none — without those provably
+  /// equal to an earlier one (DESIGN.md §15.4). The order is the
+  /// tie-break order of every caller's strict-< reduce.
+  Result<std::vector<plan::Plan>> RewriteVariants(
+      const plan::Plan& query, const views::ViewCatalog& dw_views,
+      const views::ViewCatalog& hv_views) const;
+
+  /// `WhatIfCost`'s answer through the probe memo, then the variant memo.
+  Result<Seconds> SessionWhatIfCost(const plan::Plan& query,
+                                    const views::ViewCatalog& dw_views,
+                                    const views::ViewCatalog& hv_views,
+                                    WhatIfSession& session) const;
 
   /// Best-split total of one rewrite variant through `session`'s memo
   /// (exactly-once per structural key).
   Result<Seconds> SessionBestSplitTotal(const plan::Plan& executed,
-                                        WhatIfSession* session) const;
+                                        WhatIfSession& session) const;
 
   views::Rewriter rewriter_;
   const hv::HvCostModel* hv_model_;

@@ -1,9 +1,11 @@
 #include "sim/report_io.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -293,9 +295,18 @@ Status GetInt(const JsonValue& obj, const std::string& key, Int* out) {
     return FieldError(key, "a number");
   }
   // Integer fields parse from the raw token, immune to double rounding
-  // above 2^53 (byte counts can get there).
-  *out = static_cast<Int>(std::strtoll(it->second.raw_number.c_str(),
-                                       nullptr, 10));
+  // above 2^53 (byte counts can get there). A fraction, an exponent or a
+  // value outside Int's range is an error, never a truncation.
+  const std::string& token = it->second.raw_number;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(token.c_str(), &end, 10);
+  if (token[0] == '+' || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<Int>::min() ||
+      value > std::numeric_limits<Int>::max()) {
+    return FieldError(key, "an integer in range");
+  }
+  *out = static_cast<Int>(value);
   return Status::OK();
 }
 
@@ -515,6 +526,9 @@ Result<RunReport> ReportFromJson(const std::string& json) {
   RunReport report;
   int variant = 0;
   MISO_RETURN_IF_ERROR(GetInt(root, "variant", &variant));
+  if (variant < 0 || variant > static_cast<int>(SystemVariant::kMsOra)) {
+    return FieldError("variant", "a known system variant");
+  }
   report.variant = static_cast<SystemVariant>(variant);
   MISO_RETURN_IF_ERROR(GetString(root, "variant_name", &report.variant_name));
   MISO_RETURN_IF_ERROR(GetDouble(root, "etl_s", &report.etl_s));

@@ -70,7 +70,7 @@ Result<Seconds> BenefitAnalyzer::Probe(std::size_t query_index,
       placement == Placement::kHvOnly ? empty : hypothetical;
   const views::ViewCatalog& hv =
       placement == Placement::kDwOnly ? empty : hypothetical;
-  return optimizer_->WhatIfCost(window_[query_index], dw, hv, session_);
+  return optimizer_->WhatIfCost(window_[query_index], dw, hv, *session_);
 }
 
 Status BenefitAnalyzer::SetWindow(std::vector<plan::Plan> window) {
@@ -100,7 +100,7 @@ Status BenefitAnalyzer::SetWindow(std::vector<plan::Plan> window) {
       // query is the empty design's only rewrite variant and recurs in
       // every later probe of the same query.
       MISO_ASSIGN_OR_RETURN(
-          cost, optimizer_->WhatIfCost(q, empty, empty, session_));
+          cost, optimizer_->WhatIfCost(q, empty, empty, *session_));
       if (cache_ != nullptr) cache_->Insert(key, cost);
     }
     base_costs_.push_back(cost);
@@ -171,7 +171,7 @@ Result<std::vector<double>> BenefitAnalyzer::ComputeRow(
       const views::ViewCatalog& hv =
           placement == Placement::kDwOnly ? empty : *hypothetical;
       MISO_ASSIGN_OR_RETURN(
-          cost, optimizer_->WhatIfCost(window_[i], dw, hv, session_));
+          cost, optimizer_->WhatIfCost(window_[i], dw, hv, *session_));
       if (cache_ != nullptr) cache_->Insert(*key, cost);
     }
     benefits[i] = std::max(0.0, base_costs_[i] - cost);

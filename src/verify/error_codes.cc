@@ -35,6 +35,8 @@ std::string_view VerifyCodeToken(VerifyCode code) {
       return "V125";
     case VerifyCode::kSplitBytesMismatch:
       return "V126";
+    case VerifyCode::kWhatIfAnswerDrift:
+      return "V130";
     case VerifyCode::kDesignHvOverBudget:
       return "V200";
     case VerifyCode::kDesignDwOverBudget:

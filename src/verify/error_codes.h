@@ -41,6 +41,10 @@ enum class VerifyCode {
   kSplitBytesMismatch = 126,    // V126: transferred_bytes != sum of cut
                                 //       input sizes
 
+  // -- Optimizer what-if answers (V13x). --
+  kWhatIfAnswerDrift = 130,     // V130: memoized what-if answer differs
+                                //       from Optimize's (bits or ok-ness)
+
   // -- DesignVerifier (V2xx). --
   kDesignHvOverBudget = 200,        // V200: HV design exceeds Bh
   kDesignDwOverBudget = 201,        // V201: DW design exceeds Bd

@@ -169,10 +169,11 @@ TEST_F(OptimizerTest, WhatIfCostMatchesOptimize) {
   auto plan = testing_util::MakeAnalystPlan(&PaperCatalog(), "q", "c%", 0.1,
                                             false);
   auto best = optimizer_.Optimize(*plan, empty_, empty_);
-  auto what_if = optimizer_.WhatIfCost(*plan, empty_, empty_);
+  WhatIfSession session;
+  auto what_if = optimizer_.WhatIfCost(*plan, empty_, empty_, session);
   ASSERT_TRUE(best.ok());
   ASSERT_TRUE(what_if.ok());
-  EXPECT_DOUBLE_EQ(*what_if, best->cost.Total());
+  EXPECT_EQ(*what_if, best->cost.Total());
 }
 
 TEST_F(OptimizerTest, TransferredBytesMatchCutInputs) {

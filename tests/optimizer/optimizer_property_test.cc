@@ -125,9 +125,10 @@ TEST_P(OptimizerPropertyTest, MonotoneInDesign) {
   Shared& s = shared();
   const plan::Plan& q = s.queries[static_cast<size_t>(GetParam())];
   views::ViewCatalog empty(0);
-  auto with = s.optimizer.WhatIfCost(q, s.dw_views, s.hv_views);
-  auto hv_only_views = s.optimizer.WhatIfCost(q, empty, s.hv_views);
-  auto without = s.optimizer.WhatIfCost(q, empty, empty);
+  WhatIfSession session;
+  auto with = s.optimizer.WhatIfCost(q, s.dw_views, s.hv_views, session);
+  auto hv_only_views = s.optimizer.WhatIfCost(q, empty, s.hv_views, session);
+  auto without = s.optimizer.WhatIfCost(q, empty, empty, session);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(hv_only_views.ok());
   ASSERT_TRUE(without.ok());

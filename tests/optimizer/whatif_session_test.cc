@@ -1,10 +1,11 @@
-// WhatIfSession exactness: the memoized what-if path (4-arg WhatIfCost)
-// must return bit-identical totals to the plain path for every catalog
-// shape the tuner probes with — same catalog in both stores, single-store,
-// empty, and two genuinely different catalogs — on both the miss (first
-// probe) and hit (repeat probe) sides of both memo levels. The session is
-// an optimization layer only; see DESIGN.md §15 for the exactness
-// argument and docs/PERFORMANCE.md for why it exists.
+// WhatIfSession exactness: the memoized what-if path (`WhatIfCost`) must
+// return bit-identical totals to `Optimize` for every catalog shape the
+// tuner probes with — same catalog in both stores, single-store, empty,
+// and two genuinely different catalogs — on both the miss (first probe)
+// and hit (repeat probe) sides of both memo levels, with verification on
+// and off. Under verification a wrong memo answer fails with V130. The
+// session is an optimization layer only; see DESIGN.md §15.4 for the
+// exactness argument and docs/PERFORMANCE.md for why it exists.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,24 @@
 #include "optimizer/multistore_optimizer.h"
 #include "plan/node_factory.h"
 #include "transfer/transfer_model.h"
+#include "verify/error_codes.h"
 #include "verify/verify_gate.h"
 #include "views/view_catalog.h"
 
 namespace miso::optimizer {
+
+// Befriended by WhatIfSession: overwrites memoized answers so a test can
+// show which check catches a wrong one.
+class WhatIfSessionTestPeer {
+ public:
+  /// Sets every probe-level answer to `total`; returns how many there were.
+  static size_t PoisonProbeTotals(WhatIfSession& session, Seconds total) {
+    MutexLock lock(session.mu_);
+    for (auto& [key, answer] : session.probe_totals_) answer = total;
+    return session.probe_totals_.size();
+  }
+};
+
 namespace {
 
 using testing_util::PaperCatalog;
@@ -52,6 +67,11 @@ class WhatIfSessionTest : public ::testing::Test {
       for (View& v : exec->produced_views) views_.push_back(std::move(v));
       queries_.push_back(std::move(plan));
     }
+    // The first query again up to one filter's selectivity: the same
+    // signature, a different cost — the probe memo must tell them apart.
+    queries_.push_back(*testing_util::MakeAnalystPlan(
+        &PaperCatalog(), "s0_wide", topics[0], 0.3, /*dw_udfs=*/true));
+    EXPECT_EQ(queries_[0].signature(), queries_.back().signature());
   }
 
   ViewCatalog CatalogOf(const std::vector<View>& views) const {
@@ -71,48 +91,50 @@ class WhatIfSessionTest : public ::testing::Test {
 };
 
 TEST_F(WhatIfSessionTest, SessionTotalsMatchThePlainPathExactly) {
-  // Verification off: the session path only runs when probes skip the
-  // per-plan verifier (ctest pins MISO_VERIFY=1, which would bypass it).
-  verify::ScopedVerification off(false);
   ASSERT_GE(views_.size(), 2u);
   const ViewCatalog hypothetical = CatalogOf(views_);
   const ViewCatalog first = CatalogOf({views_[0]});
   const ViewCatalog second = CatalogOf({views_[1]});
 
-  WhatIfSession session;
-  for (const plan::Plan& q : queries_) {
-    struct Shape {
-      const char* name;
-      const ViewCatalog* dw;
-      const ViewCatalog* hv;
-    };
-    // Every catalog shape the benefit analyzer produces, plus genuinely
-    // different catalogs per store (exercises the combined rewrite).
-    const Shape shapes[] = {
-        {"both stores, same catalog", &hypothetical, &hypothetical},
-        {"dw only", &hypothetical, &empty_},
-        {"hv only", &empty_, &hypothetical},
-        {"empty design", &empty_, &empty_},
-        {"different catalogs", &first, &second},
-    };
-    for (const Shape& shape : shapes) {
-      SCOPED_TRACE(std::string(q.query_name()) + ": " + shape.name);
-      auto plain = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv);
-      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-      // Miss side: first probe of this shape through the session.
-      auto miss = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv, &session);
-      ASSERT_TRUE(miss.ok()) << miss.status().ToString();
-      EXPECT_EQ(*plain, *miss);
-      // Hit side: repeat probe answered from the probe-level memo.
-      auto hit = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv, &session);
-      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-      EXPECT_EQ(*plain, *hit);
+  // Both gate states: verification adds the answer check on top of the
+  // memo, it never replaces it.
+  for (bool verified : {false, true}) {
+    verify::ScopedVerification gate(verified);
+    WhatIfSession session;
+    for (const plan::Plan& q : queries_) {
+      struct Shape {
+        const char* name;
+        const ViewCatalog* dw;
+        const ViewCatalog* hv;
+      };
+      // Every catalog shape the benefit analyzer produces, plus genuinely
+      // different catalogs per store (exercises the combined rewrite).
+      const Shape shapes[] = {
+          {"both stores, same catalog", &hypothetical, &hypothetical},
+          {"dw only", &hypothetical, &empty_},
+          {"hv only", &empty_, &hypothetical},
+          {"empty design", &empty_, &empty_},
+          {"different catalogs", &first, &second},
+      };
+      for (const Shape& shape : shapes) {
+        SCOPED_TRACE(std::string(q.query_name()) + ": " + shape.name +
+                     (verified ? " (verified)" : ""));
+        auto plain = optimizer_.Optimize(q, *shape.dw, *shape.hv);
+        ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+        // Miss side: first probe of this shape through the session.
+        auto miss = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv, session);
+        ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+        EXPECT_EQ(plain->cost.Total(), *miss);
+        // Hit side: repeat probe answered from the probe-level memo.
+        auto hit = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv, session);
+        ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+        EXPECT_EQ(plain->cost.Total(), *hit);
+      }
     }
   }
 }
 
 TEST_F(WhatIfSessionTest, ProbeMemoKeysOnContentNotObjectIdentity) {
-  verify::ScopedVerification off(false);
   // Two catalogs built independently from the same views (fresh objects,
   // re-numbered ids) must share memo entries — and, more importantly,
   // share answers: cost identity is content identity.
@@ -124,41 +146,50 @@ TEST_F(WhatIfSessionTest, ProbeMemoKeysOnContentNotObjectIdentity) {
   const ViewCatalog b = CatalogOf(renumbered);
   EXPECT_EQ(a.ContentFingerprint(), b.ContentFingerprint());
 
-  WhatIfSession session;
-  for (const plan::Plan& q : queries_) {
-    auto via_a = optimizer_.WhatIfCost(q, a, a, &session);
-    auto via_b = optimizer_.WhatIfCost(q, b, b, &session);
-    ASSERT_TRUE(via_a.ok() && via_b.ok());
-    EXPECT_EQ(*via_a, *via_b);
-    auto plain = optimizer_.WhatIfCost(q, a, a);
-    ASSERT_TRUE(plain.ok());
-    EXPECT_EQ(*plain, *via_a);
+  for (bool verified : {false, true}) {
+    verify::ScopedVerification gate(verified);
+    WhatIfSession session;
+    for (const plan::Plan& q : queries_) {
+      SCOPED_TRACE(std::string(q.query_name()) +
+                   (verified ? " (verified)" : ""));
+      auto via_a = optimizer_.WhatIfCost(q, a, a, session);
+      auto via_b = optimizer_.WhatIfCost(q, b, b, session);
+      ASSERT_TRUE(via_a.ok() && via_b.ok());
+      EXPECT_EQ(*via_a, *via_b);
+      auto plain = optimizer_.Optimize(q, a, a);
+      ASSERT_TRUE(plain.ok());
+      EXPECT_EQ(plain->cost.Total(), *via_a);
+    }
   }
 }
 
-TEST_F(WhatIfSessionTest, SessionPathDefersToVerifiedBuildsAndNullSession) {
-  // Under verification (the ctest default) the 4-arg overload must behave
-  // exactly like the plain overload — the verified path re-checks every
-  // winning probe plan, which a memo hit could not.
-  verify::ScopedVerification on(true);
+TEST_F(WhatIfSessionTest, VerificationCatchesAPoisonedMemoEntry) {
+  // One wrong memo entry is exactly the failure the answer check exists
+  // for: with verification off the memo's word is final and the wrong
+  // total goes out; with it on, the probe fails with V130.
   const ViewCatalog hypothetical = CatalogOf(views_);
+  const plan::Plan& q = queries_[0];
+  auto truth = optimizer_.Optimize(q, hypothetical, hypothetical);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  const Seconds poison = truth->cost.Total() + 1.0;
+
   WhatIfSession session;
-  for (const plan::Plan& q : queries_) {
-    auto plain = optimizer_.WhatIfCost(q, hypothetical, hypothetical);
-    auto gated = optimizer_.WhatIfCost(q, hypothetical, hypothetical,
-                                       &session);
-    ASSERT_TRUE(plain.ok() && gated.ok());
-    EXPECT_EQ(*plain, *gated);
+  {
+    verify::ScopedVerification off(false);
+    ASSERT_TRUE(
+        optimizer_.WhatIfCost(q, hypothetical, hypothetical, session).ok());
+    ASSERT_EQ(WhatIfSessionTestPeer::PoisonProbeTotals(session, poison), 1u);
+    auto unchecked =
+        optimizer_.WhatIfCost(q, hypothetical, hypothetical, session);
+    ASSERT_TRUE(unchecked.ok()) << unchecked.status().ToString();
+    EXPECT_EQ(*unchecked, poison);
   }
-  // Null session: same contract, no memo to consult.
-  verify::ScopedVerification off(false);
-  for (const plan::Plan& q : queries_) {
-    auto plain = optimizer_.WhatIfCost(q, hypothetical, hypothetical);
-    auto null_session =
-        optimizer_.WhatIfCost(q, hypothetical, hypothetical, nullptr);
-    ASSERT_TRUE(plain.ok() && null_session.ok());
-    EXPECT_EQ(*plain, *null_session);
-  }
+  verify::ScopedVerification on(true);
+  auto checked = optimizer_.WhatIfCost(q, hypothetical, hypothetical, session);
+  ASSERT_FALSE(checked.ok());
+  EXPECT_EQ(verify::ExtractVerifyCode(checked.status()),
+            verify::VerifyCode::kWhatIfAnswerDrift)
+      << checked.status().ToString();
 }
 
 }  // namespace

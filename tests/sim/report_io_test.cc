@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -226,6 +227,26 @@ TEST(ReportIoJsonTest, MalformedAndMistypedInputsFail) {
   EXPECT_FALSE(ReportFromJson("{\"queries\": 3}").ok());
   EXPECT_FALSE(ReportFromJson("{\"queries\": [42]}").ok());
   EXPECT_FALSE(ReportFromJson("{} trailing").ok());
+  // Integer fields take plain integers in the field's range; anything
+  // else fails instead of truncating.
+  EXPECT_FALSE(ReportFromJson("{\"waves\": 1e10}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"waves\": 2.9}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"waves\": 1099511627776}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"waves\": -2147483649}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"waves\": +3}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"waves\": -}").ok());
+  EXPECT_FALSE(
+      ReportFromJson("{\"bytes_moved_to_dw\": 9223372036854775808}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"variant\": -1}").ok());
+  EXPECT_FALSE(ReportFromJson("{\"variant\": 8}").ok());
+  // The boundaries themselves still parse.
+  auto edges = ReportFromJson(
+      "{\"waves\": 2147483647, \"bytes_moved_to_dw\": "
+      "-9223372036854775808, \"variant\": 7}");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges->waves, 2147483647);
+  EXPECT_EQ(edges->bytes_moved_to_dw, std::numeric_limits<Bytes>::min());
+  EXPECT_EQ(edges->variant, SystemVariant::kMsOra);
 }
 
 }  // namespace

@@ -144,11 +144,12 @@ TEST_F(GrainIdentityTest, TuningIsByteIdenticalAcrossThreadsAndGrains) {
 }
 
 TEST_F(GrainIdentityTest, TuningIsIdenticalWithAndWithoutVerification) {
-  // ctest pins MISO_VERIFY=1, under which what-if probes take the plain
-  // (per-probe verified) optimizer path. With verification off they take
-  // the WhatIfSession memo path instead — which must reach the very same
-  // reorganization. A second Tune through the same tuner re-answers every
-  // probe from the now-warm session memo, so it pins the hit side too.
+  // ctest pins MISO_VERIFY=1, under which every what-if probe answered by
+  // the WhatIfSession memo is also re-planned by Optimize and checked.
+  // With verification off the same memo path runs unchecked — and must
+  // reach the very same reorganization. A second Tune through the same
+  // tuner re-answers every probe from the now-warm session memo, so it
+  // pins the hit side too.
   auto verified = TuneOnce(nullptr);
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
 

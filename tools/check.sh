@@ -43,8 +43,11 @@
 # solver in production, they are the only check that its packing matches
 # the dense §4.4.1 reference, i.e. that tuning decisions stay put. The
 # same holds for MisoTunerPropertyTest.RelevanceFirstTuneMatchesFullPool,
-# which pins the relevance-first Tune to the full-pool oracle: --perf
-# fails unless it is registered, and runs it.
+# which pins the relevance-first Tune to the full-pool oracle, and for the
+# what-if memo's tests (the WhatIfSessionTest suite and
+# GrainIdentityTest.TuningIsIdenticalWithAndWithoutVerification), which
+# check the memoized probe answers with verification on and off: --perf
+# fails unless they are registered, and runs them.
 #
 # With --fault the run is restricted to the `fault` ctest label — the
 # fault-injection suite (deterministic chaos sweeps across seeds and
@@ -115,11 +118,29 @@ while [ "$#" -gt 0 ]; do
     --label) LABEL="$2"; shift 2 ;;
     --tidy-only) TIDY_ONLY=1; shift ;;
     -h|--help)
-      sed -n '2,87p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,90p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) echo "check.sh: unknown option '$1'" >&2; exit 2 ;;
   esac
 done
+
+# require_registered LABEL CONSEQUENCE PATTERN...: fails the gate unless
+# each `ctest -R PATTERN` (within ctest label LABEL, when non-empty)
+# matches at least one registered test. Pins like these keep a check that
+# lives outside a gate's label from silently disappearing.
+require_registered() {
+  local label="$1" consequence="$2" pin count
+  shift 2
+  for pin in "$@"; do
+    count="$(ctest --test-dir "$BUILD_DIR" ${label:+-L "$label"} -R "$pin" -N |
+             sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')"
+    if [ -z "$count" ] || [ "$count" -eq 0 ]; then
+      echo "check.sh: no ${label:+$label }test matching '$pin' is" \
+           "registered — $consequence" >&2
+      exit 1
+    fi
+  done
+}
 
 if [ -z "$BUILD_DIR" ]; then
   case "$SANITIZE" in
@@ -202,31 +223,25 @@ if [ "$PERF" -eq 1 ]; then
   # by name: each pattern must match at least one registered test.
   KNAPSACK_PINS=('^KnapsackPropertyTest\.SparseAndDenseSolversAreBitIdentical$'
                  '^KnapsackSparseTest\.')
-  for PIN in "${KNAPSACK_PINS[@]}"; do
-    PIN_COUNT="$(ctest --test-dir "$BUILD_DIR" -R "$PIN" -N |
-                 sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')"
-    if [ -z "$PIN_COUNT" ] || [ "$PIN_COUNT" -eq 0 ]; then
-      echo "check.sh: no test matching '$PIN' is registered — the" \
-           "knapsack solver would be unchecked against the dense oracle" >&2
-      exit 1
-    fi
-  done
+  require_registered "" \
+      "the knapsack solver would be unchecked against the dense oracle" \
+      "${KNAPSACK_PINS[@]}"
   # Likewise the relevance-first tuner's differential test: it is the
   # only check that Tune, which values only the candidates some window
   # query can use, still emits the full-pool plan.
   TUNE_PINS=('^MisoTunerPropertyTest\.RelevanceFirstTuneMatchesFullPool$')
-  for PIN in "${TUNE_PINS[@]}"; do
-    PIN_COUNT="$(ctest --test-dir "$BUILD_DIR" -R "$PIN" -N |
-                 sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')"
-    if [ -z "$PIN_COUNT" ] || [ "$PIN_COUNT" -eq 0 ]; then
-      echo "check.sh: no test matching '$PIN' is registered — the" \
-           "relevance-first tuner would be unchecked against the" \
-           "full-pool oracle" >&2
-      exit 1
-    fi
-  done
+  require_registered "" "the relevance-first tuner would be unchecked \
+against the full-pool oracle" "${TUNE_PINS[@]}"
+  # And the what-if memo's tests: every what-if probe is answered by the
+  # WhatIfSession memo, and these are the checks of its answers with
+  # verification both on and off.
+  WHATIF_PINS=('^WhatIfSessionTest\.'
+               '^GrainIdentityTest\.TuningIsIdenticalWithAndWithoutVerification$')
+  require_registered "" \
+      "the what-if memo's answers would be unchecked against Optimize" \
+      "${WHATIF_PINS[@]}"
   echo "== check.sh: perf gate smoke-runs $PERF_COUNT bench binaries" \
-       "(knapsack and full-pool tuner oracle pins registered)"
+       "(knapsack, full-pool tuner oracle and what-if memo pins registered)"
 fi
 
 if [ "$FAULT" -eq 1 ]; then
@@ -251,19 +266,13 @@ if [ "$SERVER" -eq 1 ]; then
   # The server-vs-simulator pins must exist by name, not just the label:
   # without them the server and the simulator, which share one engine,
   # could drift apart unwatched.
-  for PIN in '^ServerStressTest\.StopTheWorldWaveOfOneMatchesSimulatorExactly$' \
-             StopTheWorldWaveOfOneMatchesSimulatorExactly/transient_ \
-             StopTheWorldWaveOfOneMatchesSimulatorExactly/outage_ \
-             StopTheWorldWaveOfOneMatchesSimulatorExactly/chaos_ \
-             OnlinePaperWorkloadMatchesSimulatorPlanForPlan; do
-    PIN_COUNT="$(ctest --test-dir "$BUILD_DIR" -L server -R "$PIN" -N |
-                 sed -n 's/^Total Tests: \([0-9]*\)$/\1/p')"
-    if [ -z "$PIN_COUNT" ] || [ "$PIN_COUNT" -eq 0 ]; then
-      echo "check.sh: no server test matching '$PIN' is registered — the" \
-           "server-vs-simulator equivalence would be unwatched" >&2
-      exit 1
-    fi
-  done
+  require_registered server \
+      "the server-vs-simulator equivalence would be unwatched" \
+      '^ServerStressTest\.StopTheWorldWaveOfOneMatchesSimulatorExactly$' \
+      StopTheWorldWaveOfOneMatchesSimulatorExactly/transient_ \
+      StopTheWorldWaveOfOneMatchesSimulatorExactly/outage_ \
+      StopTheWorldWaveOfOneMatchesSimulatorExactly/chaos_ \
+      OnlinePaperWorkloadMatchesSimulatorPlanForPlan
   echo "== check.sh: server gate covers $SERVER_COUNT online-server tests" \
        "(simulator-equivalence pins registered)"
 fi
@@ -317,6 +326,9 @@ if [ "$PERF" -eq 1 ]; then
   echo "== check.sh: relevance-first tuner vs the full-pool oracle"
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
         -R "$(IFS='|'; echo "${TUNE_PINS[*]}")"
+  echo "== check.sh: what-if memo answers, verified and unverified"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure \
+        -R "$(IFS='|'; echo "${WHATIF_PINS[*]}")"
 
   echo "== check.sh: what-if cache hit rate over a short simulation"
   "$BUILD_DIR/tools/debug_cache_stats"
